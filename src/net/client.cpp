@@ -36,7 +36,8 @@ Client::~Client() { close(); }
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_id_(other.next_id_),
-      parser_(std::move(other.parser_)) {}
+      parser_(std::move(other.parser_)),
+      out_(std::move(other.out_)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
@@ -44,6 +45,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     next_id_ = other.next_id_;
     parser_ = std::move(other.parser_);
+    out_ = std::move(other.out_);
   }
   return *this;
 }
@@ -83,30 +85,42 @@ void Client::close() {
     fd_ = -1;
   }
   parser_ = FrameParser();
+  out_.clear();
 }
 
-void Client::send_bytes(const std::uint8_t* data, std::size_t size) {
+FrameWriter Client::start_frame(Op op, std::uint32_t request_id) {
+  if (fd_ < 0) throw TransportError("client is not connected");
+  return FrameWriter(out_, static_cast<std::uint8_t>(op), request_id);
+}
+
+void Client::seal_frame(FrameWriter& frame) {
+  if (!frame.finish()) {
+    out_.clear();
+    throw TransportError("request payload exceeds the " +
+                         std::to_string(kMaxPayload >> 20) +
+                         " MiB frame cap");
+  }
+}
+
+void Client::send_out() {
   std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t w = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+  while (sent < out_.size()) {
+    const ssize_t w =
+        ::send(fd_, out_.data() + sent, out_.size() - sent, MSG_NOSIGNAL);
     if (w > 0) {
       sent += static_cast<std::size_t>(w);
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
+    out_.clear();
     throw TransportError(std::string("send: ") + std::strerror(errno));
   }
+  out_.clear();
 }
 
-void Client::send_frame(Op op, std::uint32_t request_id,
-                        std::span<const std::uint8_t> payload) {
-  if (fd_ < 0) throw TransportError("client is not connected");
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderSize + payload.size());
-  encode_header(frame, static_cast<std::uint8_t>(op), request_id,
-                static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  send_bytes(frame.data(), frame.size());
+void Client::send_frame(FrameWriter& frame) {
+  seal_frame(frame);
+  send_out();
 }
 
 Frame Client::recv_reply(Op op, std::uint32_t request_id) {
@@ -116,13 +130,10 @@ Frame Client::recv_reply(Op op, std::uint32_t request_id) {
     if (res == FrameParser::Result::kFrame) break;
     if (res == FrameParser::Result::kError)
       throw TransportError("unparseable reply stream from server");
-    std::uint8_t buf[64 * 1024];
-    const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-    if (r > 0) {
-      parser_.feed(std::span<const std::uint8_t>(
-          buf, static_cast<std::size_t>(r)));
-      continue;
-    }
+    const ssize_t r = parser_.receive([this](std::uint8_t* dst, std::size_t n) {
+      return ::recv(fd_, dst, n, 0);
+    });
+    if (r > 0) continue;
     if (r == 0) throw TransportError("server closed the connection");
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK)
@@ -136,11 +147,17 @@ Frame Client::recv_reply(Op op, std::uint32_t request_id) {
   return frame;
 }
 
-Client::SolveReply Client::parse_solve_reply(const Frame& frame) {
-  SolveReply reply;
-  WireReader r(frame.payload);
-  if (!read_status(r, &reply.status, &reply.message))
+void Client::recv_status(Op op, std::uint32_t request_id, Reply* reply,
+                         WireReader* r) {
+  *r = WireReader(recv_reply(op, request_id).payload);
+  if (!read_status(*r, &reply->status, &reply->message))
     throw TransportError("malformed reply payload");
+}
+
+Client::SolveReply Client::recv_solve_reply(Op op, std::uint32_t request_id) {
+  SolveReply reply;
+  WireReader r({});
+  recv_status(op, request_id, &reply, &r);
   if (reply.status == WireStatus::kOk && !decode_embed(r, &reply.embed))
     throw TransportError("malformed solve reply payload");
   return reply;
@@ -149,33 +166,27 @@ Client::SolveReply Client::parse_solve_reply(const Frame& frame) {
 Client::SolveReply Client::solve(const service::EmbedRequest& request,
                                  bool want_ring) {
   const std::uint32_t id = next_id_++;
-  std::vector<std::uint8_t> payload;
-  encode_request(payload, request, want_ring);
-  send_frame(Op::kSolve, id, payload);
-  return parse_solve_reply(recv_reply(Op::kSolve, id));
+  FrameWriter frame = start_frame(Op::kSolve, id);
+  encode_request(out_, request, want_ring);
+  send_frame(frame);
+  return recv_solve_reply(Op::kSolve, id);
 }
 
 std::vector<Client::SolveReply> Client::solve_pipeline(
     std::span<const service::EmbedRequest> requests, bool want_ring) {
-  if (fd_ < 0) throw TransportError("client is not connected");
-  std::vector<std::uint32_t> ids;
-  ids.reserve(requests.size());
-  std::vector<std::uint8_t> burst;
-  std::vector<std::uint8_t> payload;
+  if (requests.empty()) return {};
+  const std::uint32_t first_id = next_id_;
   for (const service::EmbedRequest& request : requests) {
-    payload.clear();
-    encode_request(payload, request, want_ring);
-    const std::uint32_t id = next_id_++;
-    ids.push_back(id);
-    encode_header(burst, static_cast<std::uint8_t>(Op::kSolve), id,
-                  static_cast<std::uint32_t>(payload.size()));
-    burst.insert(burst.end(), payload.begin(), payload.end());
+    FrameWriter frame = start_frame(Op::kSolve, next_id_++);
+    encode_request(out_, request, want_ring);
+    seal_frame(frame);
   }
-  send_bytes(burst.data(), burst.size());
+  send_out();
   std::vector<SolveReply> replies;
   replies.reserve(requests.size());
-  for (const std::uint32_t id : ids)
-    replies.push_back(parse_solve_reply(recv_reply(Op::kSolve, id)));
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    replies.push_back(recv_solve_reply(
+        Op::kSolve, first_id + static_cast<std::uint32_t>(i)));
   return replies;
 }
 
@@ -183,88 +194,69 @@ Client::Reply Client::configure_session(Digit base, unsigned n,
                                         service::FaultKind kind,
                                         service::Strategy strategy) {
   const std::uint32_t id = next_id_++;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
+  FrameWriter w = start_frame(Op::kSessionConfig, id);
   w.u32(base);
   w.u32(n);
   w.u8(static_cast<std::uint8_t>(kind));
   w.u8(static_cast<std::uint8_t>(strategy));
   w.u16(0);  // reserved
-  send_frame(Op::kSessionConfig, id, payload);
-  const Frame frame = recv_reply(Op::kSessionConfig, id);
+  send_frame(w);
   Reply reply;
-  WireReader r(frame.payload);
-  if (!read_status(r, &reply.status, &reply.message))
-    throw TransportError("malformed reply payload");
+  WireReader r({});
+  recv_status(Op::kSessionConfig, id, &reply, &r);
+  return reply;
+}
+
+Client::FaultReply Client::fault_op(Op op, service::FaultKind kind,
+                                    Word fault) {
+  const std::uint32_t id = next_id_++;
+  FrameWriter w = start_frame(op, id);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u64(fault);
+  send_frame(w);
+  FaultReply reply;
+  WireReader r({});
+  recv_status(op, id, &reply, &r);
+  if (reply.status == WireStatus::kOk) {
+    reply.changed = r.u8() != 0;
+    if (!r.exhausted()) throw TransportError("malformed fault reply payload");
+  }
   return reply;
 }
 
 Client::FaultReply Client::add_fault(service::FaultKind kind, Word fault) {
-  const std::uint32_t id = next_id_++;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u64(fault);
-  send_frame(Op::kFaultAdd, id, payload);
-  const Frame frame = recv_reply(Op::kFaultAdd, id);
-  FaultReply reply;
-  WireReader r(frame.payload);
-  if (!read_status(r, &reply.status, &reply.message))
-    throw TransportError("malformed reply payload");
-  if (reply.status == WireStatus::kOk) {
-    reply.changed = r.u8() != 0;
-    if (!r.exhausted()) throw TransportError("malformed fault reply payload");
-  }
-  return reply;
+  return fault_op(Op::kFaultAdd, kind, fault);
 }
 
 Client::FaultReply Client::clear_fault(service::FaultKind kind, Word fault) {
-  const std::uint32_t id = next_id_++;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u64(fault);
-  send_frame(Op::kFaultRemove, id, payload);
-  const Frame frame = recv_reply(Op::kFaultRemove, id);
-  FaultReply reply;
-  WireReader r(frame.payload);
-  if (!read_status(r, &reply.status, &reply.message))
-    throw TransportError("malformed reply payload");
-  if (reply.status == WireStatus::kOk) {
-    reply.changed = r.u8() != 0;
-    if (!r.exhausted()) throw TransportError("malformed fault reply payload");
-  }
-  return reply;
+  return fault_op(Op::kFaultRemove, kind, fault);
 }
 
 Client::Reply Client::reset_faults() {
   const std::uint32_t id = next_id_++;
-  send_frame(Op::kFaultReset, id, {});
-  const Frame frame = recv_reply(Op::kFaultReset, id);
+  FrameWriter w = start_frame(Op::kFaultReset, id);
+  send_frame(w);
   Reply reply;
-  WireReader r(frame.payload);
-  if (!read_status(r, &reply.status, &reply.message))
-    throw TransportError("malformed reply payload");
+  WireReader r({});
+  recv_status(Op::kFaultReset, id, &reply, &r);
   return reply;
 }
 
 Client::SolveReply Client::session_solve(bool want_ring) {
   const std::uint32_t id = next_id_++;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
+  FrameWriter w = start_frame(Op::kSessionSolve, id);
   w.u8(want_ring ? 1 : 0);
-  send_frame(Op::kSessionSolve, id, payload);
-  return parse_solve_reply(recv_reply(Op::kSessionSolve, id));
+  send_frame(w);
+  return recv_solve_reply(Op::kSessionSolve, id);
 }
 
 Client::StatsReply Client::stats() {
   const std::uint32_t id = next_id_++;
-  send_frame(Op::kStats, id, {});
-  const Frame frame = recv_reply(Op::kStats, id);
+  FrameWriter w = start_frame(Op::kStats, id);
+  send_frame(w);
   StatsReply reply;
-  WireReader r(frame.payload);
-  if (!read_status(r, &reply.status, &reply.message))
-    throw TransportError("malformed reply payload");
+  WireReader r({});
+  recv_status(Op::kStats, id, &reply, &r);
   if (reply.status == WireStatus::kOk && !decode_stats(r, &reply.stats))
     throw TransportError("malformed stats reply payload");
   return reply;

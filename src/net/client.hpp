@@ -7,6 +7,11 @@
 /// reading any reply (the load generator's high-throughput mode — the
 /// server batches a pipelined burst into one worker task). Not thread-safe;
 /// use one Client per thread.
+///
+/// Copies: each request is encoded in place into one reusable send buffer
+/// (FrameWriter), and each reply is received straight into the connection's
+/// FrameParser and decoded from a view of it, so a reply's ring words are
+/// copied once, into the returned WireEmbed.
 
 #include <cstdint>
 #include <span>
@@ -89,17 +94,30 @@ class Client {
   StatsReply stats();
 
  private:
-  void send_bytes(const std::uint8_t* data, std::size_t size);
-  void send_frame(Op op, std::uint32_t request_id,
-                  std::span<const std::uint8_t> payload);
+  /// Starts a request frame for `op` at the end of the send buffer.
+  FrameWriter start_frame(Op op, std::uint32_t request_id);
+  /// Seals a request frame; throws (emptying the send buffer) when its
+  /// payload is over kMaxPayload.
+  void seal_frame(FrameWriter& frame);
+  /// Writes the whole send buffer to the socket, then empties it.
+  void send_out();
+  /// seal_frame() then send_out().
+  void send_frame(FrameWriter& frame);
   /// Reads until one complete frame is available; validates the reply bit
-  /// and the echoed request id.
+  /// and the echoed request id. The payload view lives until the next
+  /// receive on this connection.
   Frame recv_reply(Op op, std::uint32_t request_id);
-  SolveReply parse_solve_reply(const Frame& frame);
+  /// Receives the reply to (op, request_id) and reads its status prologue
+  /// into *reply; `r` is left positioned after it.
+  void recv_status(Op op, std::uint32_t request_id, Reply* reply,
+                   WireReader* r);
+  SolveReply recv_solve_reply(Op op, std::uint32_t request_id);
+  FaultReply fault_op(Op op, service::FaultKind kind, Word fault);
 
   int fd_ = -1;
   std::uint32_t next_id_ = 1;
   FrameParser parser_;
+  std::vector<std::uint8_t> out_;  ///< send buffer, reused across requests
 };
 
 }  // namespace dbr::net

@@ -29,6 +29,10 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kWakeTag = 1;
 
+// A drained write buffer is kept for the connection's next replies only up
+// to this capacity, so one huge reply does not pin its memory.
+constexpr std::size_t kMaxSpareBytes = 1u << 20;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -66,6 +70,9 @@ struct Server::Connection {
   /// Pending reply bytes; woff_ is the flushed prefix.
   std::vector<std::uint8_t> wbuf;
   std::size_t woff = 0;
+  /// An empty buffer, with capacity, that the next task encodes its
+  /// replies into: the last drained write buffer, recycled.
+  std::vector<std::uint8_t> spare;
   bool epollout = false;   ///< EPOLLOUT currently armed
   bool read_closed = false;  ///< EOF, read error, or unframeable stream
   bool broken = false;       ///< socket unusable; discard pending writes
@@ -82,6 +89,7 @@ struct Server::Connection {
 struct Server::Task {
   Connection* conn = nullptr;
   std::vector<OpItem> ops;
+  std::vector<std::uint8_t> out;  ///< the connection's spare buffer
 };
 
 struct Server::Completion {
@@ -298,18 +306,18 @@ void Server::accept_ready() {
 
 void Server::connection_readable(Connection& conn) {
   if (conn.read_closed) return;
-  std::uint8_t buf[64 * 1024];
+  const auto read_into = [&conn](std::uint8_t* dst, std::size_t n) {
+    return ::read(conn.fd, dst, n);
+  };
   for (;;) {
-    const ssize_t r = ::read(conn.fd, buf, sizeof(buf));
+    const ssize_t r = conn.parser.receive(read_into);
     if (r > 0) {
-      conn.parser.feed(std::span<const std::uint8_t>(
-          buf, static_cast<std::size_t>(r)));
       Frame frame;
       for (;;) {
         const FrameParser::Result res = conn.parser.next(&frame);
         if (res == FrameParser::Result::kFrame) {
           frames_in_.fetch_add(1, std::memory_order_relaxed);
-          enqueue_frame(conn, std::move(frame));
+          enqueue_frame(conn, frame);
           continue;
         }
         if (res == FrameParser::Result::kError) {
@@ -337,11 +345,13 @@ void Server::connection_readable(Connection& conn) {
   }
 }
 
-void Server::enqueue_frame(Connection& conn, Frame frame) {
+void Server::enqueue_frame(Connection& conn, const Frame& frame) {
   OpItem op;
   op.opcode = frame.header.opcode;
   op.request_id = frame.header.request_id;
-  op.payload = std::move(frame.payload);
+  // The frame's payload is a view into the parser's buffer, which the next
+  // read reuses; requests are small, so the op keeps a copy.
+  op.payload.assign(frame.payload.begin(), frame.payload.end());
   if (!valid_op(op.opcode)) {
     bad_frames_.fetch_add(1, std::memory_order_relaxed);
     op.admission = Admission::kBadOp;
@@ -382,6 +392,7 @@ void Server::schedule(Connection& conn) {
   task.conn = &conn;
   task.ops.assign(std::make_move_iterator(conn.ops.begin()),
                   std::make_move_iterator(conn.ops.end()));
+  task.out = std::move(conn.spare);
   conn.ops.clear();
   conn.task_in_flight = true;
   {
@@ -474,8 +485,12 @@ void Server::handle_completions() {
       }
     } else {
       if (conn.wbuf.empty()) {
-        conn.wbuf = std::move(c.bytes);
+        // Swap rather than move: the drained buffer keeps its capacity and
+        // becomes the spare the next task encodes into.
+        std::swap(conn.wbuf, c.bytes);
         conn.woff = 0;
+        if (c.bytes.capacity() <= kMaxSpareBytes)
+          conn.spare = std::move(c.bytes);
       } else {
         conn.wbuf.insert(conn.wbuf.end(), c.bytes.begin(), c.bytes.end());
       }
@@ -519,26 +534,36 @@ void Server::worker_main() {
 }
 
 std::vector<std::uint8_t> Server::execute(Task& task) {
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out = std::move(task.out);
+  out.clear();
   for (OpItem& op : task.ops) execute_op(*task.conn, op, out);
   return out;
 }
 
 void Server::execute_op(Connection& conn, OpItem& op,
                         std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> payload;
-  const auto finish = [&] {
-    encode_header(out, op.opcode | kReplyBit, op.request_id,
-                  static_cast<std::uint32_t>(payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
+  FrameWriter frame(out, op.opcode | kReplyBit, op.request_id);
+  const auto error_reply = [&](WireStatus status, std::string_view message) {
+    frame.restart();
+    frame.u8(static_cast<std::uint8_t>(status));
+    frame.str(message);
+    // An error reply is a status byte and a short message: it always fits.
+    static_cast<void>(frame.finish());
     frames_out_.fetch_add(1, std::memory_order_relaxed);
   };
-  const auto error_reply = [&](WireStatus status, std::string_view message) {
-    payload.clear();
-    WireWriter w(payload);
-    w.u8(static_cast<std::uint8_t>(status));
-    w.str(message);
-    finish();
+  // Seals the reply. A payload over the frame cap cannot be framed, so the
+  // op answers a typed error instead and the connection stays usable.
+  const auto finish = [&] {
+    const std::size_t size = frame.payload_size();
+    if (!frame.finish()) {
+      error_reply(WireStatus::kBadRequest,
+                  "reply payload of " + std::to_string(size) +
+                      " bytes exceeds the " + std::to_string(kMaxPayload >> 20) +
+                      " MiB frame cap (kMaxPayload); resend with "
+                      "want_ring=false to get the answer without the ring");
+      return;
+    }
+    frames_out_.fetch_add(1, std::memory_order_relaxed);
   };
 
   switch (op.admission) {
@@ -609,9 +634,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
         const service::EmbedResponse response =
             fabric_ ? fabric_->query(request) : engine_->query(request);
         solves_.fetch_add(1, std::memory_order_relaxed);
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        encode_embed(w, response, want_ring);
+        frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+        encode_embed(frame, response, want_ring);
         finish_solve();  // deadline enforced as the reply is enqueued
         return;
       }
@@ -636,8 +660,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
         conn.cfg_kind = static_cast<service::FaultKind>(kind);
         conn.cfg_strategy = static_cast<service::Strategy>(strategy);
         conn.session_configured = true;
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+        frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));
         finish();
         return;
       }
@@ -665,9 +688,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
         const bool changed = static_cast<Op>(op.opcode) == Op::kFaultAdd
                                  ? conn.session->add_fault(fk, word)
                                  : conn.session->clear_fault(fk, word);
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        w.u8(changed ? 1 : 0);
+        frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+        frame.u8(changed ? 1 : 0);
         finish();
         return;
       }
@@ -683,8 +705,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
           return;
         }
         if (conn.session) conn.session->reset_faults();
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+        frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));
         finish();
         return;
       }
@@ -707,9 +728,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
         }
         const service::EmbedResponse response = conn.session->current_ring();
         solves_.fetch_add(1, std::memory_order_relaxed);
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        encode_embed(w, response, ring != 0);
+        frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+        encode_embed(frame, response, ring != 0);
         finish_solve();  // deadline enforced as the reply is enqueued
         return;
       }
@@ -760,9 +780,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
             stats.fabric.shards.push_back(ws);
           }
         }
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        encode_stats(w, stats);
+        frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+        encode_stats(frame, stats);
         finish();
         return;
       }

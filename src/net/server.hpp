@@ -163,7 +163,7 @@ class Server {
   void accept_ready();
   void connection_readable(Connection& conn);
   void connection_writable(Connection& conn);
-  void enqueue_frame(Connection& conn, Frame frame);
+  void enqueue_frame(Connection& conn, const Frame& frame);
   void schedule(Connection& conn);
   void flush(Connection& conn);
   void close_connection(std::uint64_t id);

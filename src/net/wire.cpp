@@ -1,6 +1,8 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 namespace dbr::net {
 
@@ -44,19 +46,13 @@ std::optional<FrameHeader> decode_header(std::span<const std::uint8_t> bytes,
     if (err != nullptr) *err = FrameError::kBadMagic;
     return std::nullopt;
   }
+  WireReader r(bytes.subspan(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
   FrameHeader h;
-  h.version = bytes[4];
-  h.opcode = bytes[5];
-  h.flags = static_cast<std::uint16_t>(bytes[6]) |
-            static_cast<std::uint16_t>(bytes[7]) << 8;
-  h.request_id = static_cast<std::uint32_t>(bytes[8]) |
-                 static_cast<std::uint32_t>(bytes[9]) << 8 |
-                 static_cast<std::uint32_t>(bytes[10]) << 16 |
-                 static_cast<std::uint32_t>(bytes[11]) << 24;
-  h.payload_len = static_cast<std::uint32_t>(bytes[12]) |
-                  static_cast<std::uint32_t>(bytes[13]) << 8 |
-                  static_cast<std::uint32_t>(bytes[14]) << 16 |
-                  static_cast<std::uint32_t>(bytes[15]) << 24;
+  h.version = r.u8();
+  h.opcode = r.u8();
+  h.flags = r.u16();
+  h.request_id = r.u32();
+  h.payload_len = r.u32();
   if (h.version != kWireVersion) {
     if (err != nullptr) *err = FrameError::kBadVersion;
     return std::nullopt;
@@ -75,104 +71,34 @@ std::optional<FrameHeader> decode_header(std::span<const std::uint8_t> bytes,
 void encode_header(std::vector<std::uint8_t>& out, std::uint8_t opcode,
                    std::uint32_t request_id, std::uint32_t payload_len) {
   out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  out.push_back(kWireVersion);
-  out.push_back(opcode);
-  out.push_back(0);  // flags lo
-  out.push_back(0);  // flags hi
   WireWriter w(out);
+  w.u8(kWireVersion);
+  w.u8(opcode);
+  w.u16(0);  // flags
   w.u32(request_id);
   w.u32(payload_len);
 }
 
 // --- reader / writer --------------------------------------------------------
 
-bool WireReader::take(std::size_t count, const std::uint8_t** p) {
-  if (!ok_ || bytes_.size() - pos_ < count) {
-    ok_ = false;
-    return false;
-  }
-  *p = bytes_.data() + pos_;
-  pos_ += count;
-  return true;
-}
-
-std::uint8_t WireReader::u8() {
-  const std::uint8_t* p = nullptr;
-  if (!take(1, &p)) return 0;
-  return p[0];
-}
-
-std::uint16_t WireReader::u16() {
-  const std::uint8_t* p = nullptr;
-  if (!take(2, &p)) return 0;
-  return static_cast<std::uint16_t>(p[0]) |
-         static_cast<std::uint16_t>(p[1]) << 8;
-}
-
-std::uint32_t WireReader::u32() {
-  const std::uint8_t* p = nullptr;
-  if (!take(4, &p)) return 0;
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t WireReader::u64() {
-  const std::uint8_t* p = nullptr;
-  if (!take(8, &p)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
-  return v;
-}
-
-double WireReader::f64() {
-  const std::uint64_t bits = u64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return ok_ ? v : 0.0;
-}
-
 std::string WireReader::str() {
   const std::uint32_t len = u32();
-  const std::uint8_t* p = nullptr;
-  if (!take(len, &p)) return {};
+  const std::uint8_t* p = take(len);
+  if (p == nullptr) return {};
   return std::string(reinterpret_cast<const char*>(p), len);
 }
 
 std::vector<Word> WireReader::words() {
   const std::uint32_t count = u32();
-  // Validate against the remaining payload *before* reserving: a hostile
+  // Validate against the remaining payload *before* allocating: a hostile
   // count must not drive an allocation it cannot back with bytes.
   if (!ok_ || bytes_.size() - pos_ < static_cast<std::size_t>(count) * 8) {
     ok_ = false;
     return {};
   }
-  std::vector<Word> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) out.push_back(u64());
+  std::vector<Word> out(count);
+  copy_wire_order<Word>(out.data(), take(out.size() * 8), out.size());
   return out;
-}
-
-void WireWriter::u16(std::uint16_t v) {
-  out_->push_back(static_cast<std::uint8_t>(v));
-  out_->push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
 }
 
 void WireWriter::str(std::string_view s) {
@@ -181,8 +107,28 @@ void WireWriter::str(std::string_view s) {
 }
 
 void WireWriter::words(std::span<const Word> ws) {
+  if (ws.size() > UINT32_MAX)
+    throw std::length_error("word vector too long for its u32 count");
   u32(static_cast<std::uint32_t>(ws.size()));
-  for (Word w : ws) u64(w);
+  put(ws.data(), ws.size());
+}
+
+FrameWriter::FrameWriter(std::vector<std::uint8_t>& out, std::uint8_t opcode,
+                         std::uint32_t request_id)
+    : WireWriter(out), start_(out.size()) {
+  encode_header(out, opcode, request_id, 0);  // length filled in by finish()
+}
+
+bool FrameWriter::finish() {
+  const std::size_t size = payload_size();
+  if (size > kMaxPayload) {
+    restart();
+    return false;
+  }
+  const auto len = static_cast<std::uint32_t>(size);
+  copy_wire_order<std::uint32_t>(out_->data() + start_ + kHeaderSize - 4, &len,
+                                 1);
+  return true;
 }
 
 // --- FaultSet ---------------------------------------------------------------
@@ -209,10 +155,10 @@ void encode_request(std::vector<std::uint8_t>& out,
   w.u8(static_cast<std::uint8_t>(request.strategy));
   w.u8(want_ring ? 1 : 0);
   w.u8(0);  // reserved
-  service::FaultSet set;
-  set.nodes = request.faults;
-  set.edges = request.edge_faults;
-  encode_fault_set(w, set);
+  // The FaultSet layout (encode_fault_set), written from the request's own
+  // vectors.
+  w.words(request.faults);
+  w.words(request.edge_faults);
 }
 
 bool decode_request(std::span<const std::uint8_t> payload,
@@ -229,10 +175,9 @@ bool decode_request(std::span<const std::uint8_t> payload,
     return false;
   req.fault_kind = static_cast<service::FaultKind>(kind);
   req.strategy = static_cast<service::Strategy>(strategy);
-  service::FaultSet set;
-  if (!decode_fault_set(r, &set) || !r.exhausted()) return false;
-  req.faults = std::move(set.nodes);
-  req.edge_faults = std::move(set.edges);
+  req.faults = r.words();
+  req.edge_faults = r.words();
+  if (!r.exhausted()) return false;
   *request = std::move(req);
   if (want_ring != nullptr) *want_ring = ring != 0;
   return true;
@@ -458,19 +403,47 @@ bool decode_stats(WireReader& r, WireStats* out) {
 
 // --- FrameParser ------------------------------------------------------------
 
-void FrameParser::feed(std::span<const std::uint8_t> bytes) {
-  // Compact the consumed prefix before it dominates the buffer.
-  if (off_ > 0 && (off_ >= buf_.size() || off_ > 64 * 1024)) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(off_));
-    off_ = 0;
+std::size_t FrameParser::receive_space() const {
+  const std::size_t live = end_ - begin_;
+  FrameError err = FrameError::kNone;
+  const std::optional<FrameHeader> header =
+      decode_header({buf_.get() + begin_, live}, &err);
+  const std::size_t frame_size =
+      header ? kHeaderSize + header->payload_len : 0;
+  if (frame_size <= live) return kMinReceive;  // no partial frame pending
+  // Room for the rest of the pending frame, but at most twice what is
+  // buffered: a header alone cannot make the buffer grow by much.
+  return std::max(kMinReceive, std::min(frame_size - live, live));
+}
+
+std::uint8_t* FrameParser::reserve(std::size_t space) {
+  if (begin_ == end_) begin_ = end_ = 0;  // all consumed: restart at the front
+  if (cap_ - end_ >= space) return buf_.get() + end_;
+  const std::size_t live = end_ - begin_;
+  if (cap_ - live >= space) {
+    std::memmove(buf_.get(), buf_.get() + begin_, live);
+  } else {
+    // Geometric growth, so a stream fed in slivers is copied O(1) times.
+    const std::size_t cap = std::max(live + space, 2 * cap_);
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (live != 0) std::memcpy(grown.get(), buf_.get() + begin_, live);
+    buf_ = std::move(grown);
+    cap_ = cap;
   }
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  begin_ = 0;
+  end_ = live;
+  return buf_.get() + end_;
+}
+
+void FrameParser::feed(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return;
+  std::memcpy(reserve(bytes.size()), bytes.data(), bytes.size());
+  end_ += bytes.size();
 }
 
 FrameParser::Result FrameParser::next(Frame* frame) {
   if (error_ != FrameError::kNone) return Result::kError;
-  const std::span<const std::uint8_t> view(buf_.data() + off_,
-                                           buf_.size() - off_);
+  const std::span<const std::uint8_t> view(buf_.get() + begin_, end_ - begin_);
   FrameError err = FrameError::kNone;
   const std::optional<FrameHeader> header = decode_header(view, &err);
   if (!header) {
@@ -482,9 +455,8 @@ FrameParser::Result FrameParser::next(Frame* frame) {
   }
   if (view.size() - kHeaderSize < header->payload_len) return Result::kNeedMore;
   frame->header = *header;
-  frame->payload.assign(view.begin() + kHeaderSize,
-                        view.begin() + kHeaderSize + header->payload_len);
-  off_ += kHeaderSize + header->payload_len;
+  frame->payload = view.subspan(kHeaderSize, header->payload_len);
+  begin_ += kHeaderSize + header->payload_len;
   return Result::kFrame;
 }
 

@@ -23,12 +23,22 @@
 /// Every reply payload leads with a WireStatus byte; a non-kOk status is
 /// followed only by an error-message string. Payload encodings are
 /// documented on the encode_* functions below.
+///
+/// Copies: a sender encodes each payload once, in place behind its header
+/// (FrameWriter); a receiver reads straight into its FrameParser's buffer
+/// (FrameParser::receive) and decodes from a view of it (Frame::payload).
+/// Word vectors cross as one block copy each way (copy_wire_order).
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "service/engine.hpp"
@@ -110,6 +120,27 @@ std::optional<FrameHeader> decode_header(std::span<const std::uint8_t> bytes,
 void encode_header(std::vector<std::uint8_t>& out, std::uint8_t opcode,
                    std::uint32_t request_id, std::uint32_t payload_len);
 
+/// The byte-order helper: copies `count` unsigned integers of type T from
+/// `src` to `dst` (either may be unaligned), converting between host order
+/// and the wire's little-endian order. The conversion is its own inverse,
+/// so encoders and decoders both use it. The host's byte order is fixed at
+/// compile time: on a little-endian host this is a single memcpy, and only
+/// a big-endian build carries the per-value byte swap. Callers therefore
+/// have one path and no runtime branch.
+template <typename T>
+void copy_wire_order(void* dst, const void* src, std::size_t count) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count != 0) std::memcpy(dst, src, count * sizeof(T));
+  } else {
+    auto* d = static_cast<std::uint8_t*>(dst);
+    const auto* s = static_cast<const std::uint8_t*>(src);
+    for (std::size_t i = 0; i < count * sizeof(T); i += sizeof(T))
+      for (std::size_t b = 0; b < sizeof(T); ++b)
+        d[i + b] = s[i + sizeof(T) - 1 - b];
+  }
+}
+
 /// Bounds-checked little-endian reader over one payload. All accessors
 /// return zero values once the reader has failed; check ok() (and
 /// exhausted() for trailing garbage) after the last field.
@@ -117,16 +148,17 @@ class WireReader {
  public:
   explicit WireReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  double f64() { return std::bit_cast<double>(u64()); }
   /// Length-prefixed (u32) byte string; fails if the length exceeds the
   /// remaining payload.
   std::string str();
-  /// Length-prefixed (u32 count) vector of u64 words; the count is
-  /// validated against the remaining bytes before any allocation.
+  /// Length-prefixed (u32 count) vector of u64 words, read as one block;
+  /// the count is validated against the remaining bytes before any
+  /// allocation.
   std::vector<Word> words();
 
   /// True while every read so far stayed in bounds.
@@ -136,29 +168,92 @@ class WireReader {
   std::size_t remaining() const { return ok_ ? bytes_.size() - pos_ : 0; }
 
  private:
-  bool take(std::size_t count, const std::uint8_t** p);
+  /// Consumes `count` bytes and returns where they start, or fails the
+  /// reader (and returns null) when fewer remain.
+  const std::uint8_t* take(std::size_t count) {
+    if (!ok_ || bytes_.size() - pos_ < count) {
+      ok_ = false;
+      return nullptr;
+    }
+    const std::uint8_t* p = bytes_.data() + pos_;
+    pos_ += count;
+    return p;
+  }
+  template <typename T>
+  T get() {
+    T v = 0;
+    if (const std::uint8_t* p = take(sizeof(T))) copy_wire_order<T>(&v, p, 1);
+    return v;
+  }
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
 
-/// Little-endian appender building one payload (or whole frame) in a
-/// caller-owned buffer.
+/// Little-endian appender building one payload (or whole frame) at the end
+/// of a caller-owned buffer. Each field is one append; a word vector is one
+/// block copy.
 class WireWriter {
  public:
   explicit WireWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
 
   void u8(std::uint8_t v) { out_->push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
+  void u16(std::uint16_t v) { put(&v, 1); }
+  void u32(std::uint32_t v) { put(&v, 1); }
+  void u64(std::uint64_t v) { put(&v, 1); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s);
+  /// u32 count, then the words. Throws std::length_error when the count
+  /// does not fit the u32 prefix.
   void words(std::span<const Word> ws);
 
- private:
+ protected:
   std::vector<std::uint8_t>* out_;
+
+ private:
+  template <typename T>
+  void put(const T* src, std::size_t count) {
+    const std::size_t at = out_->size();
+    out_->resize(at + count * sizeof(T));
+    copy_wire_order<T>(out_->data() + at, src, count);
+  }
+};
+
+/// Builds one frame in place at the end of a caller-owned buffer, so a
+/// payload is encoded exactly once, directly behind its header.
+///
+/// Contract:
+///  * The constructor appends a 16-byte header for `opcode` and
+///    `request_id` whose length field is still zero, and remembers where
+///    the frame starts. Bytes before that point are never touched, so
+///    frames can be built back to back in one buffer.
+///  * Everything appended to the buffer after construction is the payload:
+///    fields written through the WireWriter base, or an encode_* function
+///    appending to the same vector.
+///  * finish() checks the payload against kMaxPayload. When it fits,
+///    finish() fills in the header's length and returns true. When it does
+///    not, finish() truncates the buffer back to the end of the header and
+///    returns false. The header is still reserved, so the caller can write
+///    a different payload (a typed error, say) and call finish() again.
+///  * restart() drops the payload written so far in the same way.
+/// Until finish() has returned true the buffer does not hold a valid frame.
+class FrameWriter : public WireWriter {
+ public:
+  FrameWriter(std::vector<std::uint8_t>& out, std::uint8_t opcode,
+              std::uint32_t request_id);
+
+  /// Payload bytes written since the header (or the last restart()).
+  std::size_t payload_size() const {
+    return out_->size() - start_ - kHeaderSize;
+  }
+  /// Truncates the buffer to the end of the header (an empty payload).
+  void restart() { out_->resize(start_ + kHeaderSize); }
+  /// Seals the frame; false (and an empty payload) when it is oversized.
+  [[nodiscard]] bool finish();
+
+ private:
+  std::size_t start_;  ///< offset of the frame's first header byte
 };
 
 // --- FaultSet ---------------------------------------------------------------
@@ -173,8 +268,9 @@ bool decode_fault_set(WireReader& r, service::FaultSet* set);
 // --- EmbedRequest (kSolve payload) ------------------------------------------
 
 /// Appends a kSolve payload: u32 base, u32 n, u8 fault kind, u8 strategy,
-/// u8 want_ring, u8 reserved, then the FaultSet (request.faults as nodes,
-/// request.edge_faults as edges). `want_ring` false asks the server to omit
+/// u8 want_ring, u8 reserved, then a FaultSet encoding written straight
+/// from request.faults (nodes) and request.edge_faults (edges). `want_ring`
+/// false asks the server to omit
 /// the ring words from the reply (bounds/lengths still included) — the load
 /// generator's bandwidth mode.
 void encode_request(std::vector<std::uint8_t>& out,
@@ -295,13 +391,21 @@ bool decode_stats(WireReader& r, WireStats* out);
 /// One complete frame extracted from a byte stream.
 struct Frame {
   FrameHeader header;
-  std::vector<std::uint8_t> payload;
+  /// A view into the FrameParser's buffer, not a copy. It stays valid
+  /// until the next receive() or feed() on that parser (or its
+  /// destruction); further next() calls leave it intact. Copy the bytes
+  /// out to keep them longer.
+  std::span<const std::uint8_t> payload;
 };
 
-/// Incremental frame extractor over a TCP byte stream. Feed arbitrary
-/// chunks; next() yields complete frames in order. A header-level error
-/// (bad magic/version/flags/length) is sticky: the stream can no longer be
-/// framed and the connection must be dropped.
+/// Incremental frame extractor over a TCP byte stream. Bytes arrive through
+/// receive() (the socket writes straight into the parser's buffer) or
+/// feed() (a copy from a caller's buffer), in chunks of any size; next()
+/// yields complete frames in order as views into that buffer. A
+/// header-level error (bad magic/version/flags/length) is sticky: the
+/// stream can no longer be framed and the connection must be dropped. A
+/// length over kMaxPayload is such an error, found from the header alone,
+/// so it never drives an allocation.
 class FrameParser {
  public:
   enum class Result : std::uint8_t {
@@ -310,19 +414,60 @@ class FrameParser {
     kError,     ///< unframeable stream; see error()
   };
 
-  /// Appends raw bytes from the socket.
+  /// Least free space receive() offers a read.
+  static constexpr std::size_t kMinReceive = 64 * 1024;
+
+  FrameParser() = default;
+  FrameParser(FrameParser&& other) noexcept { *this = std::move(other); }
+  FrameParser& operator=(FrameParser&& other) noexcept {
+    buf_ = std::move(other.buf_);
+    cap_ = std::exchange(other.cap_, 0);
+    begin_ = std::exchange(other.begin_, 0);
+    end_ = std::exchange(other.end_, 0);
+    error_ = std::exchange(other.error_, FrameError::kNone);
+    return *this;
+  }
+
+  /// Receives straight into the parser's buffer. Calls `read(dst, space)`
+  /// once, where `dst` points at `space` free bytes at the buffer's tail;
+  /// `read` has recv()'s contract (bytes written, 0 at end of stream,
+  /// negative on error) and receive() returns its result, keeping the
+  /// bytes when it is positive. `space` is at least kMinReceive and, once
+  /// a partly received frame's header is known, enough for the rest of
+  /// that frame, but never more than the bytes already buffered beyond
+  /// kMinReceive, so the buffer grows with bytes that really arrived.
+  /// Invalidates every payload view handed out before.
+  template <typename ReadFn>
+  auto receive(ReadFn&& read) {
+    std::uint8_t* dst = reserve(receive_space());
+    const auto got = read(dst, cap_ - end_);
+    if (got > 0) end_ += static_cast<std::size_t>(got);
+    return got;
+  }
+
+  /// Appends a copy of `bytes` (a receive() for bytes already in memory).
+  /// Invalidates every payload view handed out before.
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Extracts the next complete frame, if any.
+  /// Extracts the next complete frame, if any. Its payload is a view; see
+  /// Frame::payload for how long it lives.
   Result next(Frame* frame);
 
   FrameError error() const { return error_; }
   /// Bytes buffered but not yet consumed (for tests / introspection).
-  std::size_t buffered() const { return buf_.size() - off_; }
+  std::size_t buffered() const { return end_ - begin_; }
 
  private:
-  std::vector<std::uint8_t> buf_;
-  std::size_t off_ = 0;  ///< consumed prefix; compacted lazily
+  /// Free space receive() asks for (see its comment).
+  std::size_t receive_space() const;
+  /// Makes room for `space` bytes at the tail, moving the unconsumed bytes
+  /// to the front or into a larger buffer when needed; returns the tail.
+  std::uint8_t* reserve(std::size_t space);
+
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t cap_ = 0;    ///< size of buf_
+  std::size_t begin_ = 0;  ///< first unconsumed byte
+  std::size_t end_ = 0;    ///< one past the last received byte
   FrameError error_ = FrameError::kNone;
 };
 

@@ -323,6 +323,41 @@ TEST(NetServer, TruncatedPayloadWithValidHeaderAnswersBadFrame) {
   EXPECT_EQ(reply.status, WireStatus::kOk);
 }
 
+// A reply too large for one frame (the fault-free B(2,21) FFC ring: 2^21
+// words, a payload of 16,777,274 bytes against the 16 MiB cap) used to go
+// out with an oversized length, which the client could not frame: that
+// solve and every later one on the connection failed. It now answers a
+// typed kBadRequest naming the cap, and the connection stays usable.
+TEST(NetServer, OversizedReplyAnswersBadRequestAndKeepsConnection) {
+  Rig rig;
+  // The B(2,21) solve takes about a second in a release build and far
+  // longer under the sanitizers: give its receive more than the default
+  // 10 s before it counts as a stuck server.
+  rig.client.connect("127.0.0.1", rig.server->port(), /*timeout_ms=*/300000.0);
+  EmbedRequest big = node_request(2, 21, {});
+  big.strategy = Strategy::kFfc;
+  const Client::SolveReply refused = rig.client.solve(big, /*want_ring=*/true);
+  EXPECT_EQ(refused.status, WireStatus::kBadRequest);
+  EXPECT_NE(refused.message.find("16 MiB"), std::string::npos)
+      << refused.message;
+  EXPECT_NE(refused.message.find("want_ring=false"), std::string::npos)
+      << refused.message;
+
+  // The answer itself is still available without the ring.
+  const Client::SolveReply bare = rig.client.solve(big, /*want_ring=*/false);
+  ASSERT_EQ(bare.status, WireStatus::kOk) << bare.message;
+  EXPECT_EQ(bare.embed.status, EmbedStatus::kOk);
+  EXPECT_FALSE(bare.embed.has_ring);
+
+  // The next solve on the same connection is bit-identical to in-process.
+  const EmbedRequest req = node_request(2, 11, {5, 99, 1234});
+  const EmbedResponse local = rig.engine->query(req);
+  const Client::SolveReply next = rig.client.solve(req, /*want_ring=*/true);
+  ASSERT_EQ(next.status, WireStatus::kOk) << next.message;
+  EXPECT_EQ(next.embed.ring_length, local.result->ring_length);
+  EXPECT_EQ(next.embed.ring, local.result->ring.nodes);
+}
+
 TEST(NetServer, StatsOpReportsServerAndSessionCounters) {
   Rig rig;
   ASSERT_EQ(rig.client.solve(node_request(2, 11, {1}), false).status,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -158,36 +161,55 @@ TEST(WireFuzz, RequestRoundTripIsBitIdentical) {
   }
 }
 
+/// Encodes `resp`, decodes it back, and checks every field bit for bit.
+void expect_embed_round_trip(const EmbedResponse& resp, bool want_ring,
+                             const std::string& label) {
+  std::vector<std::uint8_t> payload;
+  WireWriter w(payload);
+  encode_embed(w, resp, want_ring);
+  WireReader r(payload);
+  WireEmbed back;
+  ASSERT_TRUE(decode_embed(r, &back)) << label;
+  ASSERT_TRUE(r.exhausted()) << label;
+  EXPECT_EQ(back.status, resp.result->status) << label;
+  EXPECT_EQ(back.strategy_used, resp.result->strategy_used) << label;
+  EXPECT_EQ(back.cache_hit, resp.cache_hit) << label;
+  EXPECT_EQ(back.context_cache_hit, resp.context_cache_hit) << label;
+  EXPECT_EQ(back.repaired, resp.repaired) << label;
+  EXPECT_EQ(back.quarantined, resp.result->quarantined) << label;
+  EXPECT_EQ(back.ring_length, resp.result->ring_length) << label;
+  EXPECT_EQ(back.lower_bound, resp.result->lower_bound) << label;
+  EXPECT_EQ(back.upper_bound, resp.result->upper_bound) << label;
+  // Doubles cross the wire as their exact IEEE bits, so == is exact.
+  EXPECT_EQ(back.compute_micros, resp.result->compute_micros) << label;
+  EXPECT_EQ(back.latency_micros, resp.latency_micros) << label;
+  EXPECT_EQ(back.error, resp.result->error) << label;
+  EXPECT_EQ(back.has_ring, want_ring) << label;
+  if (want_ring)
+    EXPECT_EQ(back.ring, resp.result->ring.nodes) << label;
+  else
+    EXPECT_TRUE(back.ring.empty()) << label;
+}
+
 TEST(WireFuzz, EmbedRoundTripIsBitIdentical) {
   std::mt19937_64 rng(20260809);
   for (std::size_t i = 0; i < fuzz_iters(); ++i) {
     const EmbedResponse resp = random_response(rng);
     const bool want_ring = rng() % 2;
-    std::vector<std::uint8_t> payload;
-    WireWriter w(payload);
-    encode_embed(w, resp, want_ring);
-    WireReader r(payload);
-    WireEmbed back;
-    ASSERT_TRUE(decode_embed(r, &back)) << "iter=" << i;
-    ASSERT_TRUE(r.exhausted()) << "iter=" << i;
-    EXPECT_EQ(back.status, resp.result->status) << "iter=" << i;
-    EXPECT_EQ(back.strategy_used, resp.result->strategy_used) << "iter=" << i;
-    EXPECT_EQ(back.cache_hit, resp.cache_hit) << "iter=" << i;
-    EXPECT_EQ(back.context_cache_hit, resp.context_cache_hit) << "iter=" << i;
-    EXPECT_EQ(back.repaired, resp.repaired) << "iter=" << i;
-    EXPECT_EQ(back.quarantined, resp.result->quarantined) << "iter=" << i;
-    EXPECT_EQ(back.ring_length, resp.result->ring_length) << "iter=" << i;
-    EXPECT_EQ(back.lower_bound, resp.result->lower_bound) << "iter=" << i;
-    EXPECT_EQ(back.upper_bound, resp.result->upper_bound) << "iter=" << i;
-    // Doubles cross the wire as their exact IEEE bits, so == is exact.
-    EXPECT_EQ(back.compute_micros, resp.result->compute_micros) << "iter=" << i;
-    EXPECT_EQ(back.latency_micros, resp.latency_micros) << "iter=" << i;
-    EXPECT_EQ(back.error, resp.result->error) << "iter=" << i;
-    EXPECT_EQ(back.has_ring, want_ring) << "iter=" << i;
-    if (want_ring)
-      EXPECT_EQ(back.ring, resp.result->ring.nodes) << "iter=" << i;
-    else
-      EXPECT_TRUE(back.ring.empty()) << "iter=" << i;
+    expect_embed_round_trip(resp, want_ring, "iter=" + std::to_string(i));
+  }
+  // The block copy at its edges: no ring words, one word, and the longest
+  // ring the benchmark's hot path sends (butterfly B(3,7)), with words
+  // spanning the whole 64-bit range so every byte position is exercised.
+  for (const std::size_t words : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{15309}}) {
+    const EmbedResponse base = random_response(rng);
+    auto result = std::make_shared<EmbedResult>(*base.result);
+    result->ring.nodes.clear();
+    for (std::size_t k = 0; k < words; ++k) result->ring.nodes.push_back(rng());
+    EmbedResponse resp = base;
+    resp.result = std::move(result);
+    expect_embed_round_trip(resp, true, "words=" + std::to_string(words));
   }
 }
 
@@ -366,33 +388,311 @@ TEST(WireFuzz, HostileCountsRejectedBeforeAllocation) {
   EXPECT_TRUE(words.empty());
 }
 
+// --- golden bytes -----------------------------------------------------------
+
+std::string to_hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+EmbedRequest golden_request() {
+  EmbedRequest req;
+  req.base = 3;
+  req.n = 7;
+  req.fault_kind = FaultKind::kMixed;
+  req.strategy = Strategy::kMixed;
+  req.faults = {0x0102030405060708ull, 42};
+  req.edge_faults = {0xdeadbeefull};
+  return req;
+}
+
+EmbedResponse golden_response() {
+  auto result = std::make_shared<EmbedResult>();
+  result->status = EmbedStatus::kOk;
+  result->strategy_used = Strategy::kButterfly;
+  result->ring_length = 3;
+  result->lower_bound = 2;
+  result->upper_bound = 27;
+  result->compute_micros = 1.5;
+  result->error = "e!";
+  result->ring.nodes = {1, 0x8000000000000001ull, 26};
+  EmbedResponse resp;
+  resp.result = std::move(result);
+  resp.cache_hit = true;
+  resp.repaired = true;
+  resp.latency_micros = -0.25;
+  return resp;
+}
+
+// Whole frames pinned to committed bytes: header fields, every payload
+// field, and the word vectors in little-endian order, byte for byte. The
+// hex was produced by the byte-at-a-time encoder the block codec replaced,
+// so these also prove the two agree on the wire.
+TEST(WireGolden, RequestFrameBytes) {
+  std::vector<std::uint8_t> frame;
+  FrameWriter w(frame, static_cast<std::uint8_t>(Op::kSolve), 0x01020304u);
+  encode_request(frame, golden_request(), true);
+  ASSERT_TRUE(w.finish());
+  EXPECT_EQ(to_hex(frame),
+            "4442523101010000040302012c000000"
+            "03000000070000000206010002000000"
+            "08070605040302012a00000000000000"
+            "01000000efbeadde00000000");
+  // The two-step form (header from encode_header, then the payload) makes
+  // the same bytes.
+  std::vector<std::uint8_t> payload;
+  encode_request(payload, golden_request(), true);
+  std::vector<std::uint8_t> two_step;
+  encode_header(two_step, static_cast<std::uint8_t>(Op::kSolve), 0x01020304u,
+                static_cast<std::uint32_t>(payload.size()));
+  two_step.insert(two_step.end(), payload.begin(), payload.end());
+  EXPECT_EQ(two_step, frame);
+}
+
+TEST(WireGolden, ReplyFrameBytes) {
+  std::vector<std::uint8_t> frame;
+  FrameWriter w(frame, static_cast<std::uint8_t>(Op::kSolve) | kReplyBit,
+                0x0a0b0c0du);
+  w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+  encode_embed(w, golden_response(), true);
+  ASSERT_TRUE(w.finish());
+  EXPECT_EQ(to_hex(frame),
+            "44425231018100000d0c0b0a54000000"
+            "00000501000100000003000000000000"
+            "0002000000000000001b000000000000"
+            "00000000000000f83f000000000000d0"
+            "bf020000006521010300000001000000"
+            "0000000001000000000000801a000000"
+            "00000000");
+}
+
+// --- FrameWriter --------------------------------------------------------------
+
+TEST(FrameWriter, BuildsFramesBackToBack) {
+  std::vector<std::uint8_t> out;
+  FrameWriter first(out, static_cast<std::uint8_t>(Op::kStats), 1);
+  ASSERT_TRUE(first.finish());
+  FrameWriter second(out, static_cast<std::uint8_t>(Op::kSessionSolve), 2);
+  second.u8(1);
+  ASSERT_TRUE(second.finish());
+  ASSERT_EQ(out.size(), 2 * kHeaderSize + 1);
+  FrameParser parser;
+  parser.feed(out);
+  Frame f;
+  ASSERT_EQ(parser.next(&f), FrameParser::Result::kFrame);
+  EXPECT_EQ(f.header.request_id, 1u);
+  EXPECT_TRUE(f.payload.empty());
+  ASSERT_EQ(parser.next(&f), FrameParser::Result::kFrame);
+  EXPECT_EQ(f.header.request_id, 2u);
+  ASSERT_EQ(f.payload.size(), 1u);
+  EXPECT_EQ(f.payload[0], 1u);
+}
+
+TEST(FrameWriter, PayloadAtTheCapFitsOneMoreByteDoesNot) {
+  for (const std::size_t extra : {std::size_t{0}, std::size_t{1}}) {
+    std::vector<std::uint8_t> out;
+    FrameWriter w(out, static_cast<std::uint8_t>(Op::kSolve) | kReplyBit, 5);
+    out.resize(out.size() + kMaxPayload + extra, 0x5a);
+    EXPECT_EQ(w.finish(), extra == 0) << "extra=" << extra;
+  }
+}
+
+// A reply too large to frame (a synthetic 2^21-word ring: 16 MiB of words
+// plus the fixed fields) is refused by finish(), which rewinds to the
+// header and leaves earlier frames in the buffer untouched; the typed
+// error written in its place frames and decodes cleanly.
+TEST(FrameWriter, OversizedReplyRewindsToHeader) {
+  std::vector<std::uint8_t> out;
+  FrameWriter earlier(out, static_cast<std::uint8_t>(Op::kStats) | kReplyBit, 6);
+  earlier.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+  ASSERT_TRUE(earlier.finish());
+  const std::vector<std::uint8_t> before = out;
+
+  auto result = std::make_shared<EmbedResult>();
+  result->ring.nodes.assign(std::size_t{1} << 21, Word{7});
+  result->ring_length = result->ring.nodes.size();
+  EmbedResponse resp;
+  resp.result = std::move(result);
+  FrameWriter w(out, static_cast<std::uint8_t>(Op::kSolve) | kReplyBit, 7);
+  w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+  encode_embed(w, resp, true);
+  EXPECT_GT(w.payload_size(), std::size_t{kMaxPayload});
+  EXPECT_FALSE(w.finish());
+  EXPECT_EQ(w.payload_size(), 0u);
+  ASSERT_EQ(out.size(), before.size() + kHeaderSize);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), out.begin()));
+
+  w.u8(static_cast<std::uint8_t>(WireStatus::kBadRequest));
+  w.str("reply too large");
+  ASSERT_TRUE(w.finish());
+  FrameParser parser;
+  parser.feed(out);
+  Frame f;
+  ASSERT_EQ(parser.next(&f), FrameParser::Result::kFrame);
+  EXPECT_EQ(f.header.request_id, 6u);
+  ASSERT_EQ(parser.next(&f), FrameParser::Result::kFrame);
+  EXPECT_EQ(f.header.request_id, 7u);
+  WireReader r(f.payload);
+  EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(WireStatus::kBadRequest));
+  EXPECT_EQ(r.str(), "reply too large");
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(parser.buffered(), 0u);
+}
+
+// --- FrameParser --------------------------------------------------------------
+
+/// Frames of assorted sizes back to back: small requests, an empty payload
+/// and a long ring reply, so reads split headers and payloads alike.
+struct Stream {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint32_t> ids;
+  std::vector<std::vector<std::uint8_t>> payloads;
+};
+
+Stream mixed_stream(std::mt19937_64& rng) {
+  Stream s;
+  for (std::uint32_t id = 1; id <= 5; ++id) {
+    const std::size_t start = s.bytes.size();
+    FrameWriter w(s.bytes, static_cast<std::uint8_t>(Op::kSolve), id);
+    if (id == 3) {
+      auto result = std::make_shared<EmbedResult>();
+      for (std::size_t k = 0; k < 15309; ++k) result->ring.nodes.push_back(rng());
+      EmbedResponse resp;
+      resp.result = std::move(result);
+      encode_embed(w, resp, true);
+    } else if (id != 4) {
+      encode_request(s.bytes, random_request(rng), true);
+    }
+    EXPECT_TRUE(w.finish());
+    s.ids.push_back(id);
+    s.payloads.emplace_back(s.bytes.begin() + static_cast<std::ptrdiff_t>(
+                                                  start + kHeaderSize),
+                            s.bytes.end());
+  }
+  return s;
+}
+
 TEST(FrameParser, ReassemblesFramesAcrossArbitraryChunks) {
   std::mt19937_64 rng(20260813);
-  // Three frames back-to-back, fed one random-sized sliver at a time.
-  std::vector<std::uint8_t> stream;
-  for (std::uint32_t id = 1; id <= 3; ++id) {
-    std::vector<std::uint8_t> payload;
-    encode_request(payload, random_request(rng), true);
-    encode_header(stream, static_cast<std::uint8_t>(Op::kSolve), id,
-                  static_cast<std::uint32_t>(payload.size()));
-    stream.insert(stream.end(), payload.begin(), payload.end());
-  }
+  // Frames back-to-back, fed one random-sized sliver at a time.
+  const Stream stream = mixed_stream(rng);
   FrameParser parser;
-  std::vector<Frame> frames;
+  std::vector<std::uint32_t> ids;
+  std::vector<std::vector<std::uint8_t>> payloads;
   std::size_t pos = 0;
-  while (pos < stream.size()) {
+  while (pos < stream.bytes.size()) {
     const std::size_t chunk =
-        std::min<std::size_t>(1 + rng() % 7, stream.size() - pos);
-    parser.feed(std::span<const std::uint8_t>(stream.data() + pos, chunk));
+        std::min<std::size_t>(1 + rng() % 7, stream.bytes.size() - pos);
+    parser.feed(std::span<const std::uint8_t>(stream.bytes.data() + pos, chunk));
     pos += chunk;
     Frame f;
-    while (parser.next(&f) == FrameParser::Result::kFrame)
-      frames.push_back(std::move(f));
+    // A payload is a view that the next feed may overwrite: copy it out.
+    while (parser.next(&f) == FrameParser::Result::kFrame) {
+      ids.push_back(f.header.request_id);
+      payloads.emplace_back(f.payload.begin(), f.payload.end());
+    }
   }
-  ASSERT_EQ(frames.size(), 3u);
-  for (std::uint32_t id = 1; id <= 3; ++id)
-    EXPECT_EQ(frames[id - 1].header.request_id, id);
+  EXPECT_EQ(ids, stream.ids);
+  EXPECT_EQ(payloads, stream.payloads);
   EXPECT_EQ(parser.buffered(), 0u);
+}
+
+// The same stream through receive(), the socket path: each read is handed
+// the parser's own buffer and writes a random-length piece of the stream.
+TEST(FrameParser, ReceiveReassemblesFramesAcrossArbitraryReads) {
+  std::mt19937_64 rng(20260815);
+  for (int round = 0; round < 20; ++round) {
+    const Stream stream = mixed_stream(rng);
+    FrameParser parser;
+    std::vector<std::uint32_t> ids;
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::size_t pos = 0;
+    // Mostly small reads, sometimes as much as the parser offers.
+    const auto read = [&](std::uint8_t* dst, std::size_t space) -> long {
+      EXPECT_GE(space, FrameParser::kMinReceive);
+      std::size_t n = rng() % 4 == 0 ? space : 1 + rng() % 3000;
+      n = std::min({n, space, stream.bytes.size() - pos});
+      std::memcpy(dst, stream.bytes.data() + pos, n);
+      pos += n;
+      return static_cast<long>(n);
+    };
+    while (pos < stream.bytes.size()) {
+      ASSERT_GT(parser.receive(read), 0);
+      Frame f;
+      while (parser.next(&f) == FrameParser::Result::kFrame) {
+        ids.push_back(f.header.request_id);
+        payloads.emplace_back(f.payload.begin(), f.payload.end());
+      }
+    }
+    EXPECT_EQ(ids, stream.ids) << "round=" << round;
+    EXPECT_EQ(payloads, stream.payloads) << "round=" << round;
+    EXPECT_EQ(parser.buffered(), 0u) << "round=" << round;
+    // End of stream passes through unchanged.
+    EXPECT_EQ(parser.receive([](std::uint8_t*, std::size_t) { return 0L; }), 0);
+  }
+}
+
+// A payload view stays intact while later frames are extracted and until
+// the next receive: the server copies requests out only after draining
+// every frame of a read.
+TEST(FrameParser, PayloadViewLivesUntilNextReceive) {
+  std::mt19937_64 rng(20260816);
+  const Stream stream = mixed_stream(rng);
+  FrameParser parser;
+  std::size_t pos = 0;
+  while (pos < stream.bytes.size()) {
+    parser.receive([&](std::uint8_t* dst, std::size_t space) {
+      const std::size_t n = std::min(space, stream.bytes.size() - pos);
+      std::memcpy(dst, stream.bytes.data() + pos, n);
+      pos += n;
+      return static_cast<long>(n);
+    });
+  }
+  std::vector<Frame> frames;
+  Frame f;
+  while (parser.next(&f) == FrameParser::Result::kFrame) frames.push_back(f);
+  ASSERT_EQ(frames.size(), stream.ids.size());
+  EXPECT_EQ(parser.next(&f), FrameParser::Result::kNeedMore);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].header.request_id, stream.ids[i]);
+    EXPECT_TRUE(std::equal(frames[i].payload.begin(), frames[i].payload.end(),
+                           stream.payloads[i].begin(),
+                           stream.payloads[i].end()))
+        << "frame " << i;
+  }
+}
+
+// Lengths over kMaxPayload fail from the header alone. A legal but huge
+// length cannot make the parser allocate for bytes that never arrive: the
+// next read is offered room in proportion to what is buffered.
+TEST(FrameParser, HostileLengthsRejectedBeforeAllocation) {
+  std::vector<std::uint8_t> header;
+  encode_header(header, static_cast<std::uint8_t>(Op::kSolve), 1,
+                kMaxPayload);
+  const auto send = [&](FrameParser& parser, std::span<const std::uint8_t> b) {
+    return parser.receive([&](std::uint8_t* dst, std::size_t space) {
+      EXPECT_LE(space, 2 * FrameParser::kMinReceive);
+      std::memcpy(dst, b.data(), b.size());
+      return static_cast<long>(b.size());
+    });
+  };
+  FrameParser legal;
+  send(legal, header);
+  Frame f;
+  EXPECT_EQ(legal.next(&f), FrameParser::Result::kNeedMore);
+  send(legal, std::vector<std::uint8_t>(100, 0));  // asserts the space offered
+  EXPECT_EQ(legal.next(&f), FrameParser::Result::kNeedMore);
+
+  header[12] = header[13] = header[14] = header[15] = 0xff;
+  FrameParser hostile;
+  send(hostile, header);
+  EXPECT_EQ(hostile.next(&f), FrameParser::Result::kError);
+  EXPECT_EQ(hostile.error(), FrameError::kOversized);
 }
 
 TEST(FrameParser, StickyErrorOnGarbageStream) {
