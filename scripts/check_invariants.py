@@ -35,6 +35,12 @@ bare-analysis-escape
     every use must carry a justifying comment on the same or preceding
     line.
 
+strategy-dispatch
+    Which fault kind, n, solve and repair each strategy takes is written
+    once, in the strategy table (src/service/strategy.{hpp,cpp}): no
+    `case Strategy::` label may appear anywhere else under src/. src/verify/
+    is exempt, because the oracle keeps its own independent table.
+
 Suppressions
 ------------
 A violation is suppressed by a `// lint:allow(<rule>): <reason>` comment
@@ -89,6 +95,10 @@ HEAP_CONTAINERS = (
 HEAP_CONTAINER_RE = re.compile(
     r"\bstd::(" + "|".join(HEAP_CONTAINERS) + r")\s*(<|\b)"
 )
+
+# The one module allowed to switch on Strategy (src/verify/ is exempt too).
+STRATEGY_MODULE = ("src/service/strategy.hpp", "src/service/strategy.cpp")
+STRATEGY_CASE_RE = re.compile(r"\bcase\s+(?:[\w:]+::)?Strategy\s*::")
 
 READ_GUARD_RE = re.compile(
     r"\bReadGuard\s+\w+\s*[({]\s*([^;(){}]+?)\s*[)}]\s*;"
@@ -401,12 +411,39 @@ def check_bare_analysis_escape(f: SourceFile) -> list[Violation]:
     return out
 
 
+def check_strategy_dispatch(f: SourceFile) -> list[Violation]:
+    path = "/" + f.lint_path.replace("\\", "/")
+    if (
+        "/src/" not in path
+        or "/src/verify/" in path
+        or path.endswith(tuple("/" + m for m in STRATEGY_MODULE))
+    ):
+        return []
+    out = []
+    for lineno, line in enumerate(f.code_lines, start=1):
+        for m in STRATEGY_CASE_RE.finditer(line):
+            if f.allowed("strategy-dispatch", lineno):
+                continue
+            out.append(
+                Violation(
+                    f.lint_path,
+                    lineno,
+                    "strategy-dispatch",
+                    f"'{m.group(0).strip()}' outside the strategy table: "
+                    "look the strategy up with service::strategy_ops() "
+                    "(src/service/strategy.hpp) instead of switching on it",
+                )
+            )
+    return out
+
+
 CHECKS = [
     check_rcu_publish_under_guard,
     check_hot_path_heap_alloc,
     check_naked_mutex,
     check_verify_includes,
     check_bare_analysis_escape,
+    check_strategy_dispatch,
 ]
 
 

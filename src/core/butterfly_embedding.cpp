@@ -38,18 +38,11 @@ std::optional<std::vector<NodeId>> butterfly_fault_free_hc(
 }
 
 std::optional<std::vector<NodeId>> solve_butterfly(
-    const InstanceContext& ctx,
-    std::span<const std::pair<NodeId, NodeId>> faulty_edges) {
+    const InstanceContext& ctx, std::span<const Word> debruijn_faults) {
   const ButterflyDigraph& bf = ctx.butterfly();  // requires gcd(d, n) = 1
-  const WordSpace& ws = bf.columns();
-  std::vector<Word> debruijn_faults;
-  debruijn_faults.reserve(faulty_edges.size());
-  for (const auto& [u, v] : faulty_edges) {
-    debruijn_faults.push_back(butterfly::pull_back_edge(bf, u, v));
-  }
   const auto hc = solve_edge_auto(ctx, debruijn_faults);
   if (!hc.has_value()) return std::nullopt;
-  return butterfly::lift_cycle(bf, to_node_cycle(ws, *hc));
+  return butterfly::lift_cycle(bf, to_node_cycle(ctx.words(), *hc));
 }
 
 std::vector<std::vector<NodeId>> butterfly_disjoint_hcs(const ButterflyDigraph& bf) {

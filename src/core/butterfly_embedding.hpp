@@ -29,11 +29,12 @@ std::optional<std::vector<NodeId>> butterfly_fault_free_hc(
 /// F(d,n), obtained by lifting the disjoint De Bruijn family.
 std::vector<std::vector<NodeId>> butterfly_disjoint_hcs(const ButterflyDigraph& bf);
 
-/// Context-backed solve phase of Proposition 3.5: uses the context's
-/// butterfly adjacency and shared edge-fault machinery; only the pull-back,
-/// selection and lift are per-solve work. Requires gcd(base, n) = 1.
+/// Context-backed solve phase of Proposition 3.5: the faults are the De
+/// Bruijn edge words the faulty butterfly edges pull back to
+/// (butterfly::pull_back_edge, Lemma 3.10). Uses the context's butterfly
+/// adjacency and shared edge-fault machinery; only the selection and lift
+/// are per-solve work. Requires gcd(base, n) = 1.
 std::optional<std::vector<NodeId>> solve_butterfly(
-    const InstanceContext& ctx,
-    std::span<const std::pair<NodeId, NodeId>> faulty_edges);
+    const InstanceContext& ctx, std::span<const Word> debruijn_faults);
 
 }  // namespace dbr::core

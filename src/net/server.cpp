@@ -107,10 +107,6 @@ Server::Server(service::ShardRouter& fabric, ServerOptions options)
   if (options_.workers == 0) options_.workers = worker_count();
 }
 
-service::EmbedEngine& Server::session_engine(Digit base, unsigned n) {
-  return fabric_ ? fabric_->engine_for(base, n) : *engine_;
-}
-
 Server::~Server() {
   if (started_.load(std::memory_order_acquire) && !stopped()) stop();
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -620,6 +616,24 @@ void Server::execute_op(Connection& conn, OpItem& op,
     }
   }
 
+  // Session ops need a SESSION_CONFIG first; false (after answering
+  // kNoSession) when there is none. `create` builds the configured session
+  // on first use (its constructor's precondition_error answers kBadRequest),
+  // bound to the fabric's owning shard in fabric mode.
+  const auto open_session = [&](bool create) {
+    if (!conn.session_configured) {
+      error_reply(WireStatus::kNoSession, "session op before session config");
+      return false;
+    }
+    if (create && !conn.session) {
+      service::EmbedEngine& engine =
+          fabric_ ? fabric_->engine_for(conn.cfg_base, conn.cfg_n) : *engine_;
+      conn.session = std::make_unique<service::EmbedSession>(
+          engine, conn.cfg_base, conn.cfg_n, conn.cfg_kind, conn.cfg_strategy);
+    }
+    return true;
+  };
+
   WireReader r(op.payload);
   try {
     switch (static_cast<Op>(op.opcode)) {
@@ -645,9 +659,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
         const std::uint8_t kind = r.u8();
         const std::uint8_t strategy = r.u8();
         r.u16();  // reserved
-        if (!r.exhausted() ||
-            kind > static_cast<std::uint8_t>(service::FaultKind::kMixed) ||
-            strategy > static_cast<std::uint8_t>(service::Strategy::kMixed)) {
+        if (!r.exhausted() || kind > kMaxFaultKind || strategy > kMaxStrategy) {
           bad_frames_.fetch_add(1, std::memory_order_relaxed);
           error_reply(WireStatus::kBadFrame, "malformed session config");
           return;
@@ -674,16 +686,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
           error_reply(WireStatus::kBadFrame, "malformed fault op");
           return;
         }
-        if (!conn.session_configured) {
-          error_reply(WireStatus::kNoSession,
-                      "session op before session config");
-          return;
-        }
-        if (!conn.session) {
-          conn.session = std::make_unique<service::EmbedSession>(
-              session_engine(conn.cfg_base, conn.cfg_n), conn.cfg_base,
-              conn.cfg_n, conn.cfg_kind, conn.cfg_strategy);
-        }
+        if (!open_session(true)) return;
         const service::FaultKind fk = static_cast<service::FaultKind>(kind);
         const bool changed = static_cast<Op>(op.opcode) == Op::kFaultAdd
                                  ? conn.session->add_fault(fk, word)
@@ -699,11 +702,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
           error_reply(WireStatus::kBadFrame, "fault reset takes no payload");
           return;
         }
-        if (!conn.session_configured) {
-          error_reply(WireStatus::kNoSession,
-                      "session op before session config");
-          return;
-        }
+        if (!open_session(false)) return;
         if (conn.session) conn.session->reset_faults();
         frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));
         finish();
@@ -716,16 +715,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
           error_reply(WireStatus::kBadFrame, "malformed session solve");
           return;
         }
-        if (!conn.session_configured) {
-          error_reply(WireStatus::kNoSession,
-                      "session op before session config");
-          return;
-        }
-        if (!conn.session) {
-          conn.session = std::make_unique<service::EmbedSession>(
-              session_engine(conn.cfg_base, conn.cfg_n), conn.cfg_base,
-              conn.cfg_n, conn.cfg_kind, conn.cfg_strategy);
-        }
+        if (!open_session(true)) return;
         const service::EmbedResponse response = conn.session->current_ring();
         solves_.fetch_add(1, std::memory_order_relaxed);
         frame.u8(static_cast<std::uint8_t>(WireStatus::kOk));

@@ -173,9 +173,6 @@ class Server {
   /// Executes one op batch on a worker; returns the encoded reply bytes.
   std::vector<std::uint8_t> execute(Task& task);
   void execute_op(Connection& conn, OpItem& op, std::vector<std::uint8_t>& out);
-  /// The engine a session for instance (base, n) binds to: the fabric's
-  /// owning shard in fabric mode, the single engine otherwise.
-  service::EmbedEngine& session_engine(Digit base, unsigned n);
 
   service::EmbedEngine* engine_;  ///< null in fabric mode
   service::ShardRouter* fabric_ = nullptr;  ///< null in single-engine mode

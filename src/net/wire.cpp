@@ -6,17 +6,6 @@
 
 namespace dbr::net {
 
-namespace {
-
-constexpr std::uint8_t kMaxFaultKind =
-    static_cast<std::uint8_t>(service::FaultKind::kMixed);
-constexpr std::uint8_t kMaxStrategy =
-    static_cast<std::uint8_t>(service::Strategy::kMixed);
-constexpr std::uint8_t kMaxEmbedStatus =
-    static_cast<std::uint8_t>(service::EmbedStatus::kInternalError);
-
-}  // namespace
-
 bool valid_op(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(Op::kSolve) &&
          raw <= static_cast<std::uint8_t>(Op::kStats);

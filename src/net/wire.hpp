@@ -58,6 +58,15 @@ inline constexpr std::uint32_t kMaxPayload = 16u << 20;
 inline constexpr std::uint8_t kMagic[4] = {'D', 'B', 'R', '1'};
 /// Set on the opcode of every reply frame.
 inline constexpr std::uint8_t kReplyBit = 0x80;
+/// Largest FaultKind byte a request may carry (decode_request, session config).
+inline constexpr std::uint8_t kMaxFaultKind =
+    static_cast<std::uint8_t>(service::FaultKind::kMixed);
+/// Largest Strategy byte a request or reply may carry.
+inline constexpr std::uint8_t kMaxStrategy =
+    static_cast<std::uint8_t>(service::Strategy::kMixed);
+/// Largest EmbedStatus byte a reply may carry.
+inline constexpr std::uint8_t kMaxEmbedStatus =
+    static_cast<std::uint8_t>(service::EmbedStatus::kInternalError);
 
 /// Operation selector of a request frame. Session ops act on the
 /// connection's lazily created EmbedSession; kSolve is stateless.

@@ -6,16 +6,6 @@
 
 namespace dbr::service {
 
-Strategy resolve_strategy(const EmbedRequest& request) {
-  if (request.strategy != Strategy::kAuto) return request.strategy;
-  switch (request.fault_kind) {
-    case FaultKind::kNode: return Strategy::kFfc;
-    case FaultKind::kEdge: return Strategy::kEdgeAuto;
-    case FaultKind::kMixed: return Strategy::kMixed;
-  }
-  return Strategy::kFfc;
-}
-
 CacheKey canonical_key(const EmbedRequest& request) {
   CacheKey key;
   key.base = request.base;
@@ -39,6 +29,17 @@ CacheKey canonical_key(const EmbedRequest& request) {
   key.faults = std::move(set.nodes);
   key.edge_faults = std::move(set.edges);
   return key;
+}
+
+EmbedRequest to_request(const CacheKey& key) {
+  EmbedRequest request;
+  request.base = key.base;
+  request.n = key.n;
+  request.fault_kind = key.fault_kind;
+  request.faults = key.faults;
+  request.edge_faults = key.edge_faults;
+  request.strategy = key.strategy;
+  return request;
 }
 
 namespace {

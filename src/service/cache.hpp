@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "service/strategy.hpp"
 #include "service/types.hpp"
 #include "util/rcu_snapshot.hpp"
 #include "util/thread_annotations.hpp"
@@ -31,11 +32,12 @@ struct CacheKey {
   bool operator==(const CacheKey&) const = default;
 };
 
-/// Resolves kAuto to the concrete strategy implied by the fault kind.
-Strategy resolve_strategy(const EmbedRequest& request);
-
 /// Builds the canonical key: resolved strategy + sorted/deduplicated faults.
 CacheKey canonical_key(const EmbedRequest& request);
+
+/// The complete request a canonical key stands for (what the verify/ oracle
+/// checks an answer against): canonical_key(to_request(key)) == key.
+EmbedRequest to_request(const CacheKey& key);
 
 /// Hash functor for CacheKey (SplitMix64 mixing over every field).
 struct CacheKeyHash {

@@ -1,188 +1,16 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
-#include <numeric>
-#include <optional>
 #include <thread>
 #include <utility>
 
-#include "butterfly/lift.hpp"
-#include "core/butterfly_embedding.hpp"
-#include "core/edge_fault.hpp"
-#include "core/ffc.hpp"
 #include "core/instance_context.hpp"
-#include "core/mixed_fault.hpp"
-#include "debruijn/cycle.hpp"
-#include "debruijn/debruijn.hpp"
+#include "service/strategy.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
 #include "verify/oracle.hpp"
 
 namespace dbr::service {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double micros_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
-}
-
-/// Fails fast on every documented precondition before any construction
-/// runs: strategy/fault-kind mismatch, n < 2 for the edge-fault
-/// constructions, gcd(d, n) != 1 for the butterfly lift, and fault words
-/// out of range for (base, n). Each message names the precondition so a
-/// kBadRequest response tells the caller exactly what to fix.
-void require_preconditions(const CacheKey& key, const WordSpace& ws) {
-  require(key.fault_kind == FaultKind::kMixed || key.edge_faults.empty(),
-          "edge_faults requires the mixed fault kind");
-  switch (key.strategy) {
-    case Strategy::kFfc:
-      require(key.fault_kind == FaultKind::kNode,
-              "ffc strategy requires node faults");
-      break;
-    case Strategy::kEdgeAuto:
-    case Strategy::kEdgeScan:
-    case Strategy::kEdgePhi:
-      require(key.fault_kind == FaultKind::kEdge,
-              "edge strategies require edge faults");
-      require(key.n >= 2, "edge-fault strategies require n >= 2");
-      break;
-    case Strategy::kButterfly:
-      require(key.fault_kind == FaultKind::kEdge,
-              "butterfly strategy takes De Bruijn edge-word faults");
-      require(key.n >= 2, "edge-fault strategies require n >= 2");
-      require(std::gcd<std::uint64_t, std::uint64_t>(key.base, key.n) == 1,
-              "butterfly lift requires gcd(d, n) = 1");
-      break;
-    case Strategy::kMixed:
-      require(key.fault_kind == FaultKind::kMixed,
-              "mixed strategy requires the mixed fault kind");
-      require(key.n >= 2, "mixed-fault strategy requires n >= 2");
-      break;
-    case Strategy::kAuto:
-      ensure(false, "kAuto must be resolved before dispatch");
-  }
-  const bool node_words = key.fault_kind != FaultKind::kEdge;
-  const Word limit = node_words ? ws.size() : ws.edge_word_count();
-  for (Word f : key.faults) {
-    require(f < limit, "fault word " + std::to_string(f) +
-                           " out of range for B(" + std::to_string(key.base) +
-                           "," + std::to_string(key.n) + ")");
-  }
-  for (Word f : key.edge_faults) {
-    require(f < ws.edge_word_count(),
-            "fault word " + std::to_string(f) + " out of range for B(" +
-                std::to_string(key.base) + "," + std::to_string(key.n) + ")");
-  }
-}
-
-/// The fault-dependent solve phase: acquires the instance's shared context
-/// (which may throw for invalid (base, n)) and dispatches the matching
-/// core solve. `acquire` is deferred into the try block so context-build
-/// failures map to the same statuses as before the context/solve split.
-EmbedResult compute_result(
-    const CacheKey& key,
-    const std::function<const core::InstanceContext&()>& acquire) {
-  EmbedResult out;
-  out.strategy_used = key.strategy;
-  const Clock::time_point start = Clock::now();
-  try {
-    const core::InstanceContext& ctx = acquire();
-    require_preconditions(key, ctx.words());
-
-    switch (key.strategy) {
-      case Strategy::kFfc: {
-        core::FfcResult r = core::solve_ffc(ctx, key.faults);
-        out.ring = std::move(r.cycle);
-        out.ring_length = out.ring.length();
-        const auto [lo, hi] =
-            core::ffc_cycle_length_bounds(key.base, key.n, key.faults.size());
-        out.lower_bound = lo;
-        out.upper_bound = hi;
-        break;
-      }
-      case Strategy::kEdgeAuto:
-      case Strategy::kEdgeScan:
-      case Strategy::kEdgePhi: {
-        std::optional<SymbolCycle> hc;
-        if (key.strategy == Strategy::kEdgeScan) {
-          hc = core::solve_edge_scan(ctx, key.faults);
-        } else if (key.strategy == Strategy::kEdgePhi) {
-          hc = core::solve_edge_phi(ctx, key.faults);
-        } else {
-          hc = core::solve_edge_auto(ctx, key.faults);
-        }
-        if (!hc) {
-          out.status = EmbedStatus::kNoEmbedding;
-          out.error = "no fault-free Hamiltonian cycle found (fault set beyond "
-                      "the strategy's guarantee)";
-          break;
-        }
-        out.ring = to_node_cycle(ctx.words(), *hc);
-        out.ring_length = out.ring.length();
-        out.lower_bound = ctx.words().size();
-        out.upper_bound = ctx.words().size();
-        break;
-      }
-      case Strategy::kButterfly: {
-        const std::optional<SymbolCycle> hc = core::solve_edge_auto(ctx, key.faults);
-        if (!hc) {
-          out.status = EmbedStatus::kNoEmbedding;
-          out.error = "no fault-free Hamiltonian cycle found (fault set beyond "
-                      "the strategy's guarantee)";
-          break;
-        }
-        out.ring.nodes =
-            butterfly::lift_cycle(ctx.butterfly(), to_node_cycle(ctx.words(), *hc));
-        out.ring_length = out.ring.length();
-        out.lower_bound = static_cast<std::uint64_t>(key.n) * ctx.words().size();
-        out.upper_bound = out.lower_bound;
-        break;
-      }
-      case Strategy::kMixed: {
-        core::MixedResult r =
-            core::solve_mixed(ctx, key.faults, key.edge_faults);
-        if (!r.cycle) {
-          out.status = EmbedStatus::kNoEmbedding;
-          out.error = "no fault-avoiding ring found (the edge pull-back "
-                      "closure of the mixed fault set leaves no surviving "
-                      "necklace)";
-          break;
-        }
-        out.ring = std::move(*r.cycle);
-        out.ring_length = out.ring.length();
-        const auto [lo, hi] = core::mixed_ring_length_bounds(
-            key.base, key.n, key.faults.size(),
-            core::countable_mixed_edge_faults(ctx.words(), key.faults,
-                                              key.edge_faults));
-        out.lower_bound = lo;
-        out.upper_bound = hi;
-        break;
-      }
-      case Strategy::kAuto:
-        ensure(false, "kAuto must be resolved before dispatch");
-    }
-  } catch (const precondition_error& e) {
-    out = EmbedResult{};
-    out.strategy_used = key.strategy;
-    out.status = EmbedStatus::kBadRequest;
-    out.error = e.what();
-  } catch (const std::exception& e) {
-    // Invariant failures and transient conditions (e.g. bad_alloc) are not
-    // deterministic answers; kInternalError keeps them out of the cache.
-    out = EmbedResult{};
-    out.strategy_used = key.strategy;
-    out.status = EmbedStatus::kInternalError;
-    out.error = e.what();
-  }
-  out.compute_micros = micros_since(start);
-  return out;
-}
-
-}  // namespace
 
 EmbedEngine::EmbedEngine(EngineOptions options)
     : options_(options),
@@ -195,34 +23,42 @@ EmbedEngine::EmbedEngine(EngineOptions options)
 std::shared_ptr<const EmbedResult> EmbedEngine::compute(
     const CacheKey& key, bool* context_hit,
     const core::InstanceContext* pinned) const {
+  // The fault-dependent solve phase: acquire the instance's shared context,
+  // check the strategy's preconditions, run its solve entry
+  // (service/strategy.hpp). Context acquisition sits inside the try block
+  // so an invalid (base, n) maps to kBadRequest like any precondition.
+  const Clock::time_point start = Clock::now();
+  if (context_hit != nullptr) *context_hit = pinned != nullptr;
   std::shared_ptr<const core::InstanceContext> owned;  // outlives the solve
-  const auto acquire = [&]() -> const core::InstanceContext& {
-    if (pinned != nullptr) {
-      if (context_hit != nullptr) *context_hit = true;  // reused by definition
-      return *pinned;
+  EmbedResult out;
+  try {
+    if (pinned == nullptr) {
+      owned = options_.reuse_contexts
+                  ? contexts_->get_or_build(key.base, key.n, context_hit)
+                  : core::InstanceContext::make(key.base, key.n);
     }
-    if (options_.reuse_contexts) {
-      owned = contexts_->get_or_build(key.base, key.n, context_hit);
-    } else {
-      if (context_hit != nullptr) *context_hit = false;
-      owned = core::InstanceContext::make(key.base, key.n);
-    }
-    return *owned;
-  };
-  auto result = std::make_shared<const EmbedResult>(compute_result(key, acquire));
+    const core::InstanceContext& ctx = pinned != nullptr ? *pinned : *owned;
+    require_instance(key, ctx.words());
+    out = strategy_ops(key.strategy).solve(ctx, key);
+  } catch (const precondition_error& e) {
+    out.status = EmbedStatus::kBadRequest;
+    out.error = e.what();
+  } catch (const std::exception& e) {
+    // Invariant failures and transient conditions (e.g. bad_alloc) are not
+    // deterministic answers; kInternalError keeps them out of the cache.
+    out.status = EmbedStatus::kInternalError;
+    out.error = e.what();
+  }
+  out.strategy_used = key.strategy;
+  out.compute_micros = micros_since(start);
+  auto result = std::make_shared<const EmbedResult>(std::move(out));
   if (!options_.validate_responses) return result;
 
   // Debug mode: hand every computed answer to the independent oracle. The
   // canonical key is a complete request, so the oracle sees exactly the
   // instance that was dispatched.
-  EmbedRequest request;
-  request.base = key.base;
-  request.n = key.n;
-  request.fault_kind = key.fault_kind;
-  request.faults = key.faults;
-  request.edge_faults = key.edge_faults;
-  request.strategy = key.strategy;
-  const verify::OracleReport report = verify::check_response(request, *result);
+  const verify::OracleReport report =
+      verify::check_response(to_request(key), *result);
   validations_.fetch_add(1, std::memory_order_relaxed);
   if (report.ok()) return result;
 

@@ -68,17 +68,8 @@ struct EngineStatsSnapshot {
 /// A query names an instance (base, n, fault set, strategy); the engine
 /// canonicalizes the fault set (sort + dedup, so answers are independent of
 /// presentation order), serves repeats from a sharded LRU result cache, and
-/// otherwise dispatches the fault-dependent solve phase against the shared
-/// per-(base, n) InstanceContext:
-///
-///   kFfc        node faults   -> core::solve_ffc (Chapter 2)
-///   kEdgeAuto   edge faults   -> core::solve_edge_auto
-///   kEdgeScan   edge faults   -> core::solve_edge_scan
-///   kEdgePhi    edge faults   -> core::solve_edge_phi
-///   kButterfly  edge faults   -> solve_edge_auto lifted to F(d,n)
-///                                (requires gcd(d, n) = 1, Proposition 3.5)
-///   kMixed      node + edge   -> core::solve_mixed (Hamiltonian route for
-///                                node-free sets, FFC pull-back otherwise)
+/// otherwise runs the strategy's solve entry (the table in
+/// service/strategy.hpp) against the shared per-(base, n) InstanceContext.
 ///
 /// Results are immutable and shared with the cache, so a hit returns the
 /// exact bytes of the original computation. Two threads missing on the same

@@ -1,25 +1,14 @@
 #include "service/session.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <numeric>
 #include <utility>
 
 #include "core/repair.hpp"
+#include "service/strategy.hpp"
 #include "util/require.hpp"
 #include "verify/oracle.hpp"
 
 namespace dbr::service {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double micros_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
-}
-
-}  // namespace
 
 EmbedSession::EmbedSession(EmbedEngine& engine, Digit base, unsigned n,
                            FaultKind fault_kind, Strategy strategy)
@@ -27,62 +16,32 @@ EmbedSession::EmbedSession(EmbedEngine& engine, Digit base, unsigned n,
   key_.base = base;
   key_.n = n;
   key_.fault_kind = fault_kind;
-  EmbedRequest probe;
-  probe.base = base;
-  probe.n = n;
+  EmbedRequest probe;  // resolve_strategy reads only the kind and strategy
   probe.fault_kind = fault_kind;
   probe.strategy = strategy;
   key_.strategy = resolve_strategy(probe);
 
   // Pin the shared context first: this validates (base, n) and makes every
-  // later re-solve context-build-free.
+  // later re-solve context-build-free. The fault-free key then passes the
+  // same precondition gate as a stateless query.
   context_ = engine.context_cache().get_or_build(base, n);
-  const WordSpace& ws = context_->words();
-
-  switch (key_.strategy) {
-    case Strategy::kFfc:
-      require(fault_kind == FaultKind::kNode,
-              "ffc strategy requires node faults");
-      break;
-    case Strategy::kEdgeAuto:
-    case Strategy::kEdgeScan:
-    case Strategy::kEdgePhi:
-      require(fault_kind == FaultKind::kEdge,
-              "edge strategies require edge faults");
-      require(n >= 2, "edge-fault strategies require n >= 2");
-      break;
-    case Strategy::kButterfly:
-      require(fault_kind == FaultKind::kEdge,
-              "butterfly strategy takes De Bruijn edge-word faults");
-      require(n >= 2, "edge-fault strategies require n >= 2");
-      require(context_->supports_butterfly(),
-              "butterfly lift requires gcd(d, n) = 1");
-      break;
-    case Strategy::kMixed:
-      require(fault_kind == FaultKind::kMixed,
-              "mixed strategy requires the mixed fault kind");
-      require(n >= 2, "mixed-fault strategy requires n >= 2");
-      break;
-    case Strategy::kAuto:
-      ensure(false, "resolve_strategy never returns kAuto");
-  }
-  node_limit_ = ws.size();
-  edge_limit_ = ws.edge_word_count();
+  require_instance(key_, context_->words());
 }
 
 std::pair<std::vector<Word>*, Word> EmbedSession::track(FaultKind kind) {
   require(kind != FaultKind::kMixed,
           "a single fault is a node or an edge; kMixed names the session, "
           "not a fault");
+  const WordSpace& ws = context_->words();
+  const Word limit =
+      kind == FaultKind::kNode ? ws.size() : ws.edge_word_count();
   if (key_.fault_kind == FaultKind::kMixed) {
-    return kind == FaultKind::kNode
-               ? std::pair{&key_.faults, node_limit_}
-               : std::pair{&key_.edge_faults, edge_limit_};
+    return {kind == FaultKind::kNode ? &key_.faults : &key_.edge_faults,
+            limit};
   }
   require(kind == key_.fault_kind,
           "fault kind does not match this session's fault kind");
-  return {&key_.faults,
-          kind == FaultKind::kNode ? node_limit_ : edge_limit_};
+  return {&key_.faults, limit};
 }
 
 bool EmbedSession::add_fault(Word fault) {
@@ -93,9 +52,7 @@ bool EmbedSession::add_fault(Word fault) {
 
 bool EmbedSession::add_fault(FaultKind kind, Word fault) {
   const auto [live, limit] = track(kind);
-  require(fault < limit,
-          "fault word " + std::to_string(fault) + " out of range for B(" +
-              std::to_string(key_.base) + "," + std::to_string(key_.n) + ")");
+  require_fault_word(fault, limit, key_.base, key_.n);
   const auto it = std::lower_bound(live->begin(), live->end(), fault);
   if (it != live->end() && *it == fault) {
     ++stats_.noop_mutations;  // already faulty: nothing changes, no re-solve
@@ -114,8 +71,8 @@ bool EmbedSession::clear_fault(Word fault) {
 }
 
 bool EmbedSession::clear_fault(FaultKind kind, Word fault) {
-  const auto [live, limit] = track(kind);
-  (void)limit;  // clearing an out-of-range word is a harmless no-op
+  // Clearing an out-of-range word is a harmless no-op: no range check.
+  std::vector<Word>* live = track(kind).first;
   const auto it = std::lower_bound(live->begin(), live->end(), fault);
   if (it == live->end() || *it != fault) {
     ++stats_.noop_mutations;  // was never faulty: nothing changes
@@ -138,51 +95,10 @@ void EmbedSession::reset_faults() {
   dirty_ = true;
 }
 
-CacheKey EmbedSession::solve_key() const {
-  CacheKey key = key_;
-  if (key_.fault_kind == FaultKind::kMixed) {
-    // The session keeps dominated edge faults live (a router repair must
-    // resurface the cut link), so the canonical cross-kind collapse happens
-    // per solve. The collapsed key is exactly canonical_key of the
-    // equivalent stateless request, so cache entries are shared with it.
-    FaultSet set;
-    set.nodes = std::move(key.faults);
-    set.edges = std::move(key.edge_faults);
-    set.canonicalize(key_.base, key_.n);
-    key.faults = std::move(set.nodes);
-    key.edge_faults = std::move(set.edges);
-  }
-  return key;
-}
-
 bool EmbedSession::try_repair(const CacheKey& key) {
   const Clock::time_point start = Clock::now();
-  core::RepairOutcome outcome;
-  switch (key_.strategy) {
-    case Strategy::kFfc:
-      outcome = core::repair_node_ring(*context_, last_.result->ring,
-                                       solved_key_.faults, key.faults,
-                                       scratch_);
-      break;
-    case Strategy::kEdgeAuto:
-    case Strategy::kEdgeScan:
-    case Strategy::kEdgePhi:
-      outcome = core::repair_edge_ring(*context_, last_.result->ring,
-                                       key.faults);
-      break;
-    case Strategy::kButterfly:
-      outcome = core::repair_butterfly_ring(*context_, last_.result->ring,
-                                            key.faults);
-      break;
-    case Strategy::kMixed:
-      outcome = core::repair_mixed_ring(*context_, last_.result->ring,
-                                        solved_key_.faults,
-                                        solved_key_.edge_faults, key.faults,
-                                        key.edge_faults, scratch_);
-      break;
-    case Strategy::kAuto:
-      ensure(false, "resolve_strategy never returns kAuto");
-  }
+  core::RepairOutcome outcome = strategy_ops(key_.strategy).repair(
+      *context_, last_.result->ring, solved_key_, key, scratch_);
   if (!outcome.repaired()) {
     ++repair_stats_.fell_back;
     return false;
@@ -213,14 +129,7 @@ bool EmbedSession::try_repair(const CacheKey& key) {
     // Repaired rings ride the same oracle paths (check_ring /
     // check_mixed_ring) as engine answers; a veto means a repair bug, so
     // decline to the full solve instead of serving it.
-    EmbedRequest request;
-    request.base = key.base;
-    request.n = key.n;
-    request.fault_kind = key.fault_kind;
-    request.faults = key.faults;
-    request.edge_faults = key.edge_faults;
-    request.strategy = key.strategy;
-    if (!verify::check_response(request, *result).ok()) {
+    if (!verify::check_response(to_request(key), *result).ok()) {
       ++repair_stats_.fell_back;
       ++repair_stats_.oracle_rejections;
       return false;
@@ -248,7 +157,11 @@ EmbedResponse EmbedSession::current_ring() {
     ++stats_.memoized;
     return last_;
   }
-  CacheKey key = solve_key();
+  // The canonical key of the equivalent stateless request: a mixed session
+  // keeps dominated edge faults live (a router repair must resurface the
+  // cut link), so the cross-kind collapse happens per solve, and cache
+  // entries are shared with stateless queries.
+  CacheKey key = canonical_key(to_request(key_));
   // No-op round trip: mutations that leave the canonical solve set where
   // it already was (a dominated link cut added and removed, an add undone
   // before any solve ran) keep the memoized answer — no engine traffic.

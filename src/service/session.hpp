@@ -72,10 +72,12 @@ struct RepairStats {
 /// by executing one connection's ops strictly in order.
 class EmbedSession {
  public:
-  /// Validates the instance and strategy preconditions up front (fault-kind
+  /// Validates the instance and strategy preconditions up front through the
+  /// engine's own gate (require_instance in service/strategy.hpp: fault-kind
   /// match, n >= 2 for edge strategies, gcd(base, n) = 1 for kButterfly),
-  /// throwing precondition_error, so a constructed session can never answer
-  /// kBadRequest. kAuto resolves by fault kind, exactly like the engine.
+  /// throwing the precondition_error a fault-free query would answer as
+  /// kBadRequest, so a constructed session can never answer kBadRequest.
+  /// kAuto resolves by fault kind, exactly like the engine.
   /// The engine must outlive the session.
   EmbedSession(EmbedEngine& engine, Digit base, unsigned n,
                FaultKind fault_kind, Strategy strategy = Strategy::kAuto);
@@ -148,11 +150,6 @@ class EmbedSession {
   /// resp. d^(n+1) edge words). Throws on kind/session mismatch.
   std::pair<std::vector<Word>*, Word> track(FaultKind kind);
 
-  /// The canonical engine key for the live set: a copy of key_, with the
-  /// cross-kind domination collapse applied for mixed sessions (so cache
-  /// entries are shared with the equivalent stateless request).
-  CacheKey solve_key() const;
-
   /// Attempts the core/repair splice of last_ across the delta between
   /// solved_key_ and `key`. On success installs the repaired response as
   /// last_ / solved_key_ and returns true; otherwise counts the fallback.
@@ -163,8 +160,6 @@ class EmbedSession {
   /// live here and collapse them per-solve (see current_ring).
   CacheKey key_;
   std::shared_ptr<const core::InstanceContext> context_;
-  Word node_limit_ = 0;  ///< d^n, for node-word faults
-  Word edge_limit_ = 0;  ///< d^(n+1), for edge-word faults
   bool dirty_ = true;
   EmbedResponse last_;
   /// The canonical solve set last_ answers, valid only when have_solved_

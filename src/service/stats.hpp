@@ -1,10 +1,19 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace dbr::service {
+
+/// The monotonic clock every service latency is measured on.
+using Clock = std::chrono::steady_clock;
+
+/// Microseconds elapsed on Clock since `start`.
+inline double micros_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
+}
 
 /// An immutable sorted view over one batch of latency samples: the sort is
 /// paid once at construction, so extracting a whole percentile ladder

@@ -5,19 +5,6 @@
 
 namespace dbr::service {
 
-const char* to_string(Strategy s) {
-  switch (s) {
-    case Strategy::kAuto: return "auto";
-    case Strategy::kFfc: return "ffc";
-    case Strategy::kEdgeAuto: return "edge_auto";
-    case Strategy::kEdgeScan: return "edge_scan";
-    case Strategy::kEdgePhi: return "edge_phi";
-    case Strategy::kButterfly: return "butterfly";
-    case Strategy::kMixed: return "mixed";
-  }
-  return "unknown";
-}
-
 const char* to_string(FaultKind k) {
   switch (k) {
     case FaultKind::kNode: return "node";

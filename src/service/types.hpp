@@ -92,7 +92,8 @@ enum class EmbedStatus : std::uint8_t {
   kInternalError,  ///< a library invariant failed; possibly transient, never cached.
 };
 
-/// Short lower-case name of the strategy (e.g. "ffc", "mixed").
+/// Short lower-case name of the strategy (e.g. "ffc", "mixed"); the names
+/// live in the strategy table (service/strategy.cpp).
 const char* to_string(Strategy s);
 /// Short lower-case name of the fault kind ("node", "edge", "mixed").
 const char* to_string(FaultKind k);
@@ -135,7 +136,7 @@ struct EmbedResult {
   NodeCycle ring;
   std::uint64_t ring_length = 0;
   /// The paper's guarantee envelope on |ring| for this instance (see
-  /// ffc_cycle_length_bounds and the dispatch notes in engine.hpp).
+  /// ffc_cycle_length_bounds and the strategy table in strategy.hpp).
   std::uint64_t lower_bound = 0;
   std::uint64_t upper_bound = 0;
   /// Wall time of the original (uncached) construction.

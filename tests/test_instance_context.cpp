@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "butterfly/lift.hpp"
 #include "core/butterfly_embedding.hpp"
 #include "core/disjoint_hc.hpp"
 #include "core/edge_fault.hpp"
@@ -129,7 +130,11 @@ TEST(InstanceContextTest, SolveButterflyMatchesTheStandaloneConstruction) {
     bf.for_each_successor(0, [&](NodeId v) {
       if (faults.empty()) faults.emplace_back(0, v);
     });
-    const auto via_ctx = solve_butterfly(ctx, faults);
+    std::vector<Word> pulled_back;
+    for (const auto& [u, v] : faults) {
+      pulled_back.push_back(butterfly::pull_back_edge(bf, u, v));
+    }
+    const auto via_ctx = solve_butterfly(ctx, pulled_back);
     const auto direct = butterfly_fault_free_hc(bf, faults);
     ASSERT_EQ(via_ctx.has_value(), direct.has_value());
     if (via_ctx.has_value()) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "service/engine.hpp"
@@ -307,6 +309,56 @@ TEST(EmbedSessionTest, ConstructorRejectsInvalidInstances) {
   // n < 2 for edge strategies.
   EXPECT_THROW(EmbedSession(engine, 4, 1, FaultKind::kEdge, Strategy::kEdgePhi),
                precondition_error);
+}
+
+// The session constructor and a stateless query share one precondition
+// gate: over every concrete strategy, fault kind and a mix of valid and
+// invalid shapes, the constructor throws exactly when the fault-free query
+// answers kBadRequest, with the same message.
+TEST(EmbedSessionTest, ConstructorPreconditionsMatchTheEngine) {
+  EmbedEngine engine;
+  constexpr Strategy kConcrete[] = {Strategy::kFfc,      Strategy::kEdgeAuto,
+                                    Strategy::kEdgeScan, Strategy::kEdgePhi,
+                                    Strategy::kButterfly, Strategy::kMixed};
+  constexpr FaultKind kKinds[] = {FaultKind::kNode, FaultKind::kEdge,
+                                  FaultKind::kMixed};
+  constexpr std::pair<Digit, unsigned> kShapes[] = {{2, 6}, {3, 7}, {4, 1},
+                                                    {2, 1}};
+  int rejected = 0;
+  for (const auto& [d, n] : kShapes) {
+    for (const Strategy strategy : kConcrete) {
+      for (const FaultKind kind : kKinds) {
+        EmbedRequest request;
+        request.base = d;
+        request.n = n;
+        request.fault_kind = kind;
+        request.strategy = strategy;
+        const EmbedResponse response = engine.query(request);
+        ASSERT_TRUE(response.result);
+        bool threw = false;
+        std::string message;
+        try {
+          const EmbedSession session(engine, d, n, kind, strategy);
+        } catch (const precondition_error& e) {
+          threw = true;
+          message = e.what();
+        }
+        const bool bad = response.result->status == EmbedStatus::kBadRequest;
+        const std::string where = "B(" + std::to_string(d) + "," +
+                                  std::to_string(n) + ") " +
+                                  to_string(strategy) + "/" + to_string(kind);
+        EXPECT_EQ(threw, bad) << where << ": " << response.result->error;
+        if (threw && bad) {
+          EXPECT_EQ(message, response.result->error) << where;
+          ++rejected;
+        }
+      }
+    }
+  }
+  // Both outcomes occur: kind mismatches, n = 1, gcd(2, 6) = 2, and the
+  // valid pairings that embed.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, 72);
 }
 
 TEST(EmbedSessionTest, AddFaultRejectsOutOfRangeWords) {
