@@ -1,7 +1,7 @@
-// Scaling, replication, and fail-stop recovery bench for the sharded
-// multi-engine fabric (service/fabric): writes BENCH_fabric.json.
+// Scaling and fail-stop recovery bench for the sharded multi-engine
+// fabric (service/fabric): writes BENCH_fabric.json.
 //
-// Three sections:
+// Two sections:
 //
 //   scaling      the same skewed multi-instance stream (workload.hpp's
 //                make_instance_stream) driven through fabrics of 1, 2, ...,
@@ -14,11 +14,6 @@
 //                which is why the curve holds even on one core. Every
 //                response is checked bit-identical to a single-engine
 //                reference.
-//
-//   replication  a hot-skewed stream against replicas=0 vs --replicas:
-//                reports the owner shard's load share before/after hot-key
-//                replication spreads reads across the successor chain, the
-//                replica read count, and the throughput ratio.
 //
 //   shard_kill   a fabric with validate_responses on serves the stream from
 //                its worker pools while the main thread kills the most
@@ -38,9 +33,6 @@
 //                                  (default 4; must divide by each config)
 //                --zipf S          instance Zipf skew          (default 0.6)
 //                --repeat F        hot fault-set repeat fraction (default 0.15)
-//                --hot-threshold N hot-key promotion threshold (default 16)
-//                --replicas N      hot replicas in the replication/kill
-//                                  sections (default 1)
 //                --edge-fraction F share of edge-fault solves on base >= 3
 //                                  instances — the expensive-context regime
 //                                  (default 0.7)
@@ -122,18 +114,6 @@ struct ScalingPoint {
   }
 };
 
-/// The load share of the busiest shard: 1.0 means one shard serves
-/// everything (the unreplicated hot-key regime), 1/alive is perfect spread.
-double max_load_share(const FabricStats& stats) {
-  std::uint64_t total = 0;
-  std::uint64_t peak = 0;
-  for (const auto& shard : stats.shards) {
-    total += shard.queries;
-    peak = std::max(peak, shard.queries);
-  }
-  return total > 0 ? static_cast<double>(peak) / static_cast<double>(total) : 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,15 +124,13 @@ int main(int argc, char** argv) {
   std::size_t workers = 4;
   double zipf_s = 0.6;
   double repeat_fraction = 0.15;
-  std::uint64_t hot_threshold = 16;
-  std::size_t replicas = 1;
   double edge_fraction = 0.7;
   std::string out_path = "BENCH_fabric.json";
 
   constexpr const char* kName = "fabric_throughput";
   constexpr const char* kSummary =
-      "shard-scaling curve, hot-key replication offload, and mid-load "
-      "shard-kill recovery of the service fabric; writes BENCH_fabric.json";
+      "shard-scaling curve and mid-load shard-kill recovery of the service "
+      "fabric; writes BENCH_fabric.json";
   const std::initializer_list<dbr::bench::UsageFlag> kFlags = {
       {"--shards N", "max shard count; scaling doubles 1..N (default 4)"},
       {"--requests N", "requests per section (default 400)"},
@@ -161,8 +139,6 @@ int main(int argc, char** argv) {
       {"--workers N", "total fabric workers across shards (default 4)"},
       {"--zipf S", "instance Zipf skew (default 0.6)"},
       {"--repeat F", "hot fault-set repeat fraction (default 0.15)"},
-      {"--hot-threshold N", "hot-key promotion threshold (default 16)"},
-      {"--replicas N", "hot replicas for replication/kill (default 1)"},
       {"--edge-fraction F", "share of edge-fault solves (default 0.7)"},
       {"--out PATH", "JSON artifact path (default BENCH_fabric.json)"},
   };
@@ -176,8 +152,6 @@ int main(int argc, char** argv) {
     else if (arg == "--workers") workers = std::strtoull(next(), nullptr, 10);
     else if (arg == "--zipf") zipf_s = std::strtod(next(), nullptr);
     else if (arg == "--repeat") repeat_fraction = std::strtod(next(), nullptr);
-    else if (arg == "--hot-threshold") hot_threshold = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--replicas") replicas = std::strtoull(next(), nullptr, 10);
     else if (arg == "--edge-fraction") edge_fraction = std::strtod(next(), nullptr);
     else if (arg == "--out") out_path = next();
     else return dbr::bench::usage_exit(argv[i], kName, kSummary, kFlags);
@@ -186,11 +160,10 @@ int main(int argc, char** argv) {
   if (workers == 0) workers = max_shards;
   instances = make_instance_pool(instances).size();  // clamp to the grid
 
-  dbr::bench::heading("fabric throughput: shard scaling / replication / recovery");
+  dbr::bench::heading("fabric throughput: shard scaling / recovery");
   std::cout << "shards<=" << max_shards << " requests/section=" << requests
             << " instances=" << instances << " ctx_capacity=" << ctx_capacity
-            << " workers_total=" << workers << " zipf=" << zipf_s
-            << " replicas=" << replicas << "\n";
+            << " workers_total=" << workers << " zipf=" << zipf_s << "\n";
 
   Rng rng(dbr::bench::seed());
   const std::vector<EmbedRequest> stream = make_instance_stream(
@@ -204,8 +177,6 @@ int main(int argc, char** argv) {
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     FabricOptions fopts;
     fopts.shards = shards;
-    fopts.hot_threshold = hot_threshold;
-    fopts.hot_replicas = 0;  // isolate the residency effect
     fopts.workers_per_shard = std::max<std::size_t>(1, workers / shards);
     fopts.engine.context_cache_capacity = ctx_capacity;
     ShardRouter fabric(fopts);
@@ -243,63 +214,10 @@ int main(int argc, char** argv) {
   const double speedup =
       base_qps > 0 ? curve.back().qps(requests) / base_qps : 0.0;
 
-  // --- replication ----------------------------------------------------------
-
-  // A deliberately hot-skewed stream: most requests land on a handful of
-  // instances, so without replication their owner shard serves nearly
-  // everything.
-  Rng hot_rng(dbr::bench::seed() + 1);
-  const std::vector<EmbedRequest> hot_stream = make_instance_stream(
-      hot_rng, requests, instances, /*instance_zipf_s=*/1.4,
-      /*repeat_fraction=*/0.5, /*hot_faults=*/8, /*fault_zipf_s=*/1.1,
-      edge_fraction);
-
-  struct ReplPoint {
-    double wall_micros = 0.0;
-    std::uint64_t replica_reads = 0;
-    std::uint64_t hot_keys = 0;
-    double owner_share = 0.0;
-  };
-  const auto run_repl = [&](std::size_t hot_replicas) {
-    FabricOptions fopts;
-    fopts.shards = max_shards;
-    fopts.hot_threshold = std::max<std::uint64_t>(1, hot_threshold / 2);
-    fopts.hot_replicas = hot_replicas;
-    fopts.workers_per_shard = std::max<std::size_t>(1, workers / max_shards);
-    fopts.engine.context_cache_capacity = ctx_capacity;
-    ShardRouter fabric(fopts);
-    const Clock::time_point t0 = Clock::now();
-    (void)fabric.query_batch(hot_stream);
-    ReplPoint point;
-    point.wall_micros = micros_between(t0, Clock::now());
-    const FabricStats stats = fabric.stats();
-    point.replica_reads = stats.replica_reads;
-    point.hot_keys = stats.hot_keys;
-    point.owner_share = max_load_share(stats);
-    return point;
-  };
-  const ReplPoint repl_off = run_repl(0);
-  const ReplPoint repl_on = run_repl(replicas);
-
-  dbr::TextTable repl_table({"replicas", "qps", "replica_reads", "hot_keys",
-                             "peak_load_share"});
-  const auto repl_qps = [&](const ReplPoint& p) {
-    return p.wall_micros > 0
-               ? static_cast<double>(requests) / (p.wall_micros / 1e6)
-               : 0.0;
-  };
-  repl_table.new_row().add(0).add(repl_qps(repl_off), 1).add(
-      repl_off.replica_reads).add(repl_off.hot_keys).add(repl_off.owner_share, 3);
-  repl_table.new_row().add(replicas).add(repl_qps(repl_on), 1).add(
-      repl_on.replica_reads).add(repl_on.hot_keys).add(repl_on.owner_share, 3);
-  dbr::bench::emit(repl_table);
-
   // --- shard kill -----------------------------------------------------------
 
   FabricOptions kopts;
   kopts.shards = max_shards;
-  kopts.hot_threshold = hot_threshold;
-  kopts.hot_replicas = replicas;
   kopts.workers_per_shard = std::max<std::size_t>(1, workers / max_shards);
   kopts.engine.context_cache_capacity = ctx_capacity;
   kopts.engine.validate_responses = true;  // in-fabric oracle on every answer
@@ -371,8 +289,6 @@ int main(int argc, char** argv) {
       .field("workers_total", static_cast<std::uint64_t>(workers))
       .field("instance_zipf_s", zipf_s)
       .field("repeat_fraction", repeat_fraction)
-      .field("hot_threshold", hot_threshold)
-      .field("hot_replicas", static_cast<std::uint64_t>(replicas))
       .field("edge_fraction", edge_fraction)
       .end_object();
   json.key("scaling").begin_object().key("configs").begin_array();
@@ -391,26 +307,6 @@ int main(int argc, char** argv) {
   json.end_array()
       .field("speedup_max_vs_1", speedup)
       .field("mismatches", scaling_mismatches)
-      .end_object();
-  json.key("replication")
-      .begin_object()
-      .key("replicas_off")
-      .begin_object()
-      .field("throughput_qps", repl_qps(repl_off))
-      .field("replica_reads", repl_off.replica_reads)
-      .field("hot_keys", repl_off.hot_keys)
-      .field("peak_load_share", repl_off.owner_share)
-      .end_object()
-      .key("replicas_on")
-      .begin_object()
-      .field("throughput_qps", repl_qps(repl_on))
-      .field("replica_reads", repl_on.replica_reads)
-      .field("hot_keys", repl_on.hot_keys)
-      .field("peak_load_share", repl_on.owner_share)
-      .end_object()
-      .field("read_speedup",
-             repl_qps(repl_off) > 0 ? repl_qps(repl_on) / repl_qps(repl_off) : 0.0)
-      .field("peak_share_drop", repl_off.owner_share - repl_on.owner_share)
       .end_object();
   json.key("shard_kill")
       .begin_object()

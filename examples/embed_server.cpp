@@ -6,7 +6,7 @@
 // asserts the clean drain.
 //
 //   ./embed_server --port 4800
-//   ./embed_server --port 4800 --shards 4 --replicas 1   # fabric mode
+//   ./embed_server --port 4800 --shards 4   # fabric mode
 //   ./server_throughput --connect 127.0.0.1:4800 --no-baseline
 //
 // Flags: --port N           TCP port (default 4800; 0 = ephemeral, printed)
@@ -18,7 +18,6 @@
 //        --validate         oracle-check every computed answer
 //        --shards N         fabric mode: N consistent-hash engine shards
 //                           (default 1 = single engine)
-//        --replicas N       fabric mode: hot-key replicas (default 1)
 
 #include <csignal>
 #include <cstddef>
@@ -43,7 +42,7 @@ int usage(const char* arg) {
   std::cerr << "unknown flag: " << arg << "\n"
             << "usage: embed_server [--port N] [--workers N] "
                "[--max-pending N] [--timeout-ms F] [--solve-delay-ms F] "
-               "[--repair] [--validate] [--shards N] [--replicas N]\n";
+               "[--repair] [--validate] [--shards N]\n";
   return 64;
 }
 
@@ -54,7 +53,6 @@ int main(int argc, char** argv) {
   options.port = 4800;
   service::EngineOptions engine_options;
   std::size_t shards = 1;
-  std::size_t replicas = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -75,8 +73,6 @@ int main(int argc, char** argv) {
       engine_options.validate_responses = true;
     else if (arg == "--shards")
       shards = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--replicas")
-      replicas = std::strtoull(next(), nullptr, 10);
     else
       return usage(argv[i]);
   }
@@ -99,7 +95,6 @@ int main(int argc, char** argv) {
   if (shards > 1) {
     service::FabricOptions fabric_options;
     fabric_options.shards = shards;
-    fabric_options.hot_replicas = replicas;
     fabric_options.workers_per_shard = 0;
     fabric_options.engine = engine_options;
     fabric = std::make_unique<service::ShardRouter>(fabric_options);

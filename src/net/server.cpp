@@ -752,8 +752,6 @@ void Server::execute_op(Connection& conn, OpItem& op,
           const service::FabricStats f = fabric_->stats();
           stats.has_fabric = true;
           stats.fabric.queries = f.queries;
-          stats.fabric.hot_keys = f.hot_keys;
-          stats.fabric.replica_reads = f.replica_reads;
           stats.fabric.remap_events = f.remap_events;
           stats.fabric.remapped_keys = f.remapped_keys;
           stats.fabric.remap_rounds = f.remap_cost.total_rounds();
@@ -765,7 +763,6 @@ void Server::execute_op(Connection& conn, OpItem& op,
             ws.alive = shard.alive;
             ws.keys_owned = shard.keys_owned;
             ws.queries = shard.queries;
-            ws.replica_reads = shard.replica_reads;
             ws.context_builds = shard.engine.contexts.misses;
             stats.fabric.shards.push_back(ws);
           }

@@ -106,7 +106,7 @@ struct ServerStats {
 /// once. The engine (or fabric) must outlive the server.
 ///
 /// Fabric mode changes only the dispatch layer: kSolve routes through
-/// ShardRouter::query (consistent-hash placement, hot-key replicas),
+/// ShardRouter::query (consistent-hash placement, owner-only routing),
 /// sessions bind to the engine owning their configured instance, and the
 /// STATS op reports the per-shard engine snapshots summed plus the
 /// versioned fabric section (per-shard counters, remap cost).

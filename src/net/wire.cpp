@@ -233,14 +233,16 @@ namespace {
 
 /// Appends the versioned fabric extension (u8 has_fabric, then the
 /// aggregate counters and per-shard entries). Always the last section of
-/// the payload, so a pre-fabric decoder simply never reads it.
+/// the payload, so a pre-fabric decoder simply never reads it. Three u64
+/// slots of the layout carried hot-key replication counters; they are
+/// written as 0 and skipped on decode until the next STATS version bump.
 void encode_fabric_section(WireWriter& w, const WireStats& stats) {
   w.u8(stats.has_fabric ? 1 : 0);
   if (!stats.has_fabric) return;
   const WireFabricStats& f = stats.fabric;
   w.u64(f.queries);
-  w.u64(f.hot_keys);
-  w.u64(f.replica_reads);
+  w.u64(0);  // retired: hot keys
+  w.u64(0);  // retired: replica reads
   w.u64(f.remap_events);
   w.u64(f.remapped_keys);
   w.u64(f.remap_rounds);
@@ -251,7 +253,7 @@ void encode_fabric_section(WireWriter& w, const WireStats& stats) {
     w.u8(s.alive ? 1 : 0);
     w.u64(s.keys_owned);
     w.u64(s.queries);
-    w.u64(s.replica_reads);
+    w.u64(0);  // retired: replica reads
     w.u64(s.context_builds);
   }
 }
@@ -269,8 +271,8 @@ bool decode_fabric_section(WireReader& r, WireStats* s) {
   if (!s->has_fabric) return true;
   WireFabricStats& f = s->fabric;
   f.queries = r.u64();
-  f.hot_keys = r.u64();
-  f.replica_reads = r.u64();
+  (void)r.u64();  // retired: hot keys
+  (void)r.u64();  // retired: replica reads
   f.remap_events = r.u64();
   f.remapped_keys = r.u64();
   f.remap_rounds = r.u64();
@@ -290,7 +292,7 @@ bool decode_fabric_section(WireReader& r, WireStats* s) {
     shard.alive = alive != 0;
     shard.keys_owned = r.u64();
     shard.queries = r.u64();
-    shard.replica_reads = r.u64();
+    (void)r.u64();  // retired: replica reads
     shard.context_builds = r.u64();
     f.shards.push_back(shard);
   }

@@ -338,16 +338,15 @@ struct WireServerStats {
   bool draining = false;          ///< graceful drain in progress
 };
 
-/// Per-shard slice of the fabric STATS extension: placement and
-/// read-balancing counters of one engine shard (service::FabricShardStats
-/// flattened; the shard's own engine counters fold into the aggregate
-/// engine snapshot rather than riding the wire per shard).
+/// Per-shard slice of the fabric STATS extension: placement counters of
+/// one engine shard (service::FabricShardStats flattened; the shard's own
+/// engine counters fold into the aggregate engine snapshot rather than
+/// riding the wire per shard).
 struct WireFabricShard {
   std::uint32_t shard = 0;            ///< dense shard id
   bool alive = true;                  ///< false between kill and revive
   std::uint64_t keys_owned = 0;       ///< observed instance keys owned
   std::uint64_t queries = 0;          ///< requests routed to this shard
-  std::uint64_t replica_reads = 0;    ///< requests served as a replica
   std::uint64_t context_builds = 0;   ///< this shard's context-cache misses
 
   bool operator==(const WireFabricShard&) const = default;
@@ -358,8 +357,6 @@ struct WireFabricShard {
 /// of the distributed rebuilds the remaps so far are priced at).
 struct WireFabricStats {
   std::uint64_t queries = 0;        ///< total requests routed
-  std::uint64_t hot_keys = 0;       ///< keys promoted to hot
-  std::uint64_t replica_reads = 0;  ///< reads load-balanced off the owner
   std::uint64_t remap_events = 0;   ///< kill/revive transitions
   std::uint64_t remapped_keys = 0;  ///< keys whose owner changed
   std::uint64_t remap_rounds = 0;   ///< Section-2.4 rebuild rounds charged

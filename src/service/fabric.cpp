@@ -79,25 +79,6 @@ ShardId HashRing::owner(std::uint64_t point) const {
   return it->second;
 }
 
-std::vector<ShardId> HashRing::successors(std::uint64_t point,
-                                          std::size_t count) const {
-  require(!empty(), "HashRing::successors: empty ring");
-  std::vector<ShardId> out;
-  if (count == 0) return out;
-  out.reserve(std::min(count, shards_.size()));
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), point,
-      [](const auto& entry, std::uint64_t p) { return entry.first < p; });
-  for (std::size_t step = 0; step < ring_.size() && out.size() < count;
-       ++step, ++it) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (std::find(out.begin(), out.end(), it->second) == out.end()) {
-      out.push_back(it->second);
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // ShardRouter
 
@@ -128,7 +109,7 @@ ShardRouter::ShardRouter(FabricOptions options) : options_(std::move(options)) {
   }
   {
     const util::MutexLock lk(keys_mu_);
-    keys_.publish(std::make_shared<KeyMap>());
+    keys_.publish(std::make_shared<KeySet>());
   }
 }
 
@@ -192,61 +173,33 @@ void ShardRouter::worker_loop(Shard& shard) {
   }
 }
 
-std::shared_ptr<ShardRouter::KeyState> ShardRouter::key_state(Digit base,
-                                                              unsigned n) {
+void ShardRouter::observe(Digit base, unsigned n) {
   const std::uint64_t key = key_of(base, n);
   {
-    util::RcuSnapshot<KeyMap>::ReadGuard guard(keys_);
-    if (guard) {
-      auto it = guard->find(key);
-      if (it != guard->end()) return it->second;
-    }
+    util::RcuSnapshot<KeySet>::ReadGuard guard(keys_);
+    if (guard->contains(key)) return;
   }
   const util::MutexLock lk(keys_mu_);
   // Writers are serialized, so re-reading the snapshot under the lock sees
-  // the authoritative map (a racing writer may have inserted our key). The
+  // the authoritative set (a racing writer may have inserted our key). The
   // guard is scoped: publish() may wait for in-flight readers to drain, so
   // it must never run under this thread's own ReadGuard.
-  std::shared_ptr<KeyMap> next;
+  std::shared_ptr<KeySet> next;
   {
-    util::RcuSnapshot<KeyMap>::ReadGuard guard(keys_);
-    auto it = guard->find(key);
-    if (it != guard->end()) return it->second;
-    next = std::make_shared<KeyMap>(*guard);
+    util::RcuSnapshot<KeySet>::ReadGuard guard(keys_);
+    if (guard->contains(key)) return;
+    next = std::make_shared<KeySet>(*guard);
   }
-  auto state = std::make_shared<KeyState>(base, n);
-  next->emplace(key, state);
+  next->insert(key);
   keys_.publish(std::move(next));
-  return state;
 }
 
 ShardRouter::Shard& ShardRouter::route(const EmbedRequest& request) {
-  const std::shared_ptr<KeyState> state = key_state(request.base, request.n);
-  const std::uint64_t point = HashRing::instance_point(request.base, request.n);
-  const std::uint64_t serves =
-      state->serves.fetch_add(1, std::memory_order_relaxed) + 1;
-  bool hot = state->hot.load(std::memory_order_relaxed);
-  if (!hot && options_.hot_threshold > 0 && options_.hot_replicas > 0 &&
-      serves >= options_.hot_threshold) {
-    if (!state->hot.exchange(true, std::memory_order_relaxed)) {
-      hot_keys_.fetch_add(1, std::memory_order_relaxed);
-    }
-    hot = true;
-  }
+  observe(request.base, request.n);
   util::RcuSnapshot<HashRing>::ReadGuard ring(ring_);
-  const ShardId primary = ring->owner(point);
-  ShardId target = primary;
-  if (hot) {
-    const std::vector<ShardId> chain =
-        ring->successors(point, 1 + options_.hot_replicas);
-    target = chain[state->next_read.fetch_add(1, std::memory_order_relaxed) %
-                   chain.size()];
-  }
-  Shard& shard = *shards_[target];
+  Shard& shard =
+      *shards_[ring->owner(HashRing::instance_point(request.base, request.n))];
   shard.queries.fetch_add(1, std::memory_order_relaxed);
-  if (target != primary) {
-    shard.replica_reads.fetch_add(1, std::memory_order_relaxed);
-  }
   return shard;
 }
 
@@ -345,23 +298,15 @@ void ShardRouter::kill_shard(ShardId shard) {
   // migrated instance the Section-2.4 price of one distributed rebuild.
   ++remap_events_;
   {
-    util::RcuSnapshot<KeyMap>::ReadGuard keys(keys_);
-    if (keys) {
-      for (const auto& [key, state] : *keys) {
-        const std::uint64_t point =
-            HashRing::instance_point(state->base, state->n);
-        if (old_ring.owner(point) != shard) continue;  // not on the arc
-        ++remapped_keys_;
-        accumulate(remap_cost_,
-                   core::predict_rebuild_rounds(state->base, state->n));
-        warm_context(*shards_[next->owner(point)], state->base, state->n);
-        if (state->hot.load(std::memory_order_relaxed)) {
-          for (ShardId replica :
-               next->successors(point, 1 + options_.hot_replicas)) {
-            warm_context(*shards_[replica], state->base, state->n);
-          }
-        }
-      }
+    util::RcuSnapshot<KeySet>::ReadGuard keys(keys_);
+    for (const std::uint64_t key : *keys) {
+      const Digit base = base_of(key);
+      const unsigned n = n_of(key);
+      const std::uint64_t point = HashRing::instance_point(base, n);
+      if (old_ring.owner(point) != shard) continue;  // not on the arc
+      ++remapped_keys_;
+      accumulate(remap_cost_, core::predict_rebuild_rounds(base, n));
+      warm_context(*shards_[next->owner(point)], base, n);
     }
   }
   stop_pool(victim);
@@ -388,17 +333,14 @@ void ShardRouter::revive_shard(ShardId shard) {
     copy->add(shard);
     // Warm the arc that is about to return to the revived shard *before*
     // publishing, so routed reads never miss a context the old owner had.
-    util::RcuSnapshot<KeyMap>::ReadGuard keys(keys_);
-    if (keys) {
-      for (const auto& [key, state] : *keys) {
-        const std::uint64_t point =
-            HashRing::instance_point(state->base, state->n);
-        if (copy->owner(point) != shard) continue;
-        ++remapped_keys_;
-        accumulate(remap_cost_,
-                   core::predict_rebuild_rounds(state->base, state->n));
-        warm_context(revived, state->base, state->n);
-      }
+    util::RcuSnapshot<KeySet>::ReadGuard keys(keys_);
+    for (const std::uint64_t key : *keys) {
+      const Digit base = base_of(key);
+      const unsigned n = n_of(key);
+      if (copy->owner(HashRing::instance_point(base, n)) != shard) continue;
+      ++remapped_keys_;
+      accumulate(remap_cost_, core::predict_rebuild_rounds(base, n));
+      warm_context(revived, base, n);
     }
     ring_.publish(std::move(copy));
   }
@@ -420,12 +362,6 @@ ShardId ShardRouter::owner_of(Digit base, unsigned n) const {
   return ring->owner(HashRing::instance_point(base, n));
 }
 
-std::vector<ShardId> ShardRouter::replica_chain(Digit base, unsigned n) const {
-  util::RcuSnapshot<HashRing>::ReadGuard ring(ring_);
-  return ring->successors(HashRing::instance_point(base, n),
-                          1 + options_.hot_replicas);
-}
-
 EmbedEngine& ShardRouter::engine_for(Digit base, unsigned n) {
   return *shards_[owner_of(base, n)]->engine;
 }
@@ -438,18 +374,15 @@ EmbedEngine& ShardRouter::shard_engine(ShardId shard) {
 FabricStats ShardRouter::stats() const {
   FabricStats out;
   const util::MutexLock admin(admin_mu_);
-  out.hot_keys = hot_keys_.load(std::memory_order_relaxed);
   out.remap_events = remap_events_;
   out.remapped_keys = remapped_keys_;
   out.remap_cost = remap_cost_;
   std::vector<std::uint64_t> owned(shards_.size(), 0);
   {
     util::RcuSnapshot<HashRing>::ReadGuard ring(ring_);
-    util::RcuSnapshot<KeyMap>::ReadGuard keys(keys_);
-    if (keys) {
-      for (const auto& [key, state] : *keys) {
-        owned[ring->owner(HashRing::instance_point(state->base, state->n))]++;
-      }
+    util::RcuSnapshot<KeySet>::ReadGuard keys(keys_);
+    for (const std::uint64_t key : *keys) {
+      owned[ring->owner(HashRing::instance_point(base_of(key), n_of(key)))]++;
     }
   }
   out.shards.reserve(shards_.size());
@@ -459,10 +392,8 @@ FabricStats ShardRouter::stats() const {
     s.alive = shard->alive.load(std::memory_order_acquire);
     s.keys_owned = owned[shard->id];
     s.queries = shard->queries.load(std::memory_order_relaxed);
-    s.replica_reads = shard->replica_reads.load(std::memory_order_relaxed);
     s.engine = shard->engine->stats_snapshot();
     out.queries += s.queries;
-    out.replica_reads += s.replica_reads;
     out.shards.push_back(std::move(s));
   }
   return out;

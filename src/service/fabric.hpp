@@ -7,7 +7,7 @@
 #include <memory>
 #include <span>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/distributed_ffc.hpp"
@@ -45,7 +45,7 @@ class HashRing {
   void add(ShardId shard);
 
   /// Removes `shard`'s virtual points; keys on its arcs fall to the next
-  /// point clockwise (their first successor). Requires it present.
+  /// point clockwise. Requires it present.
   void remove(ShardId shard);
 
   /// True when `shard` currently contributes points to the ring.
@@ -62,11 +62,6 @@ class HashRing {
 
   /// The shard owning hash point `point`. Requires a nonempty ring.
   ShardId owner(std::uint64_t point) const;
-
-  /// The first `count` *distinct* shards at or clockwise after `point`
-  /// (owner first) — the replication target chain of DAOS's successor rule.
-  /// Returns fewer when the ring has fewer distinct shards.
-  std::vector<ShardId> successors(std::uint64_t point, std::size_t count) const;
 
   /// Deterministic hash point of instance (base, n); the same mix on every
   /// process, so placement is reproducible across machines.
@@ -87,12 +82,6 @@ struct FabricOptions {
   std::size_t shards = 4;
   /// Virtual points per shard on the placement ring.
   std::size_t vnodes = HashRing::kDefaultVnodes;
-  /// Extra successor shards a *hot* instance is replicated to (reads then
-  /// round-robin across the 1 + hot_replicas chain). 0 disables replication.
-  std::size_t hot_replicas = 1;
-  /// Serve count at which an instance key is promoted to hot; 0 disables
-  /// promotion entirely.
-  std::uint64_t hot_threshold = 64;
   /// Worker threads per shard pool serving query_batch traffic. 0 means
   /// batch items run inline on the caller (queries always may).
   std::size_t workers_per_shard = 2;
@@ -108,16 +97,17 @@ struct FabricShardStats {
   ShardId shard = 0;
   bool alive = true;             ///< false after kill_shard until revived
   std::uint64_t keys_owned = 0;  ///< observed instance keys this shard owns
-  std::uint64_t queries = 0;     ///< requests routed here (primary + replica)
-  std::uint64_t replica_reads = 0;  ///< requests served here as a replica
+  std::uint64_t queries = 0;     ///< requests routed here
   EngineStatsSnapshot engine;    ///< the shard engine's own counter families
 };
 
 /// Fabric-aggregate counters plus the per-shard breakdown.
 struct FabricStats {
   std::uint64_t queries = 0;        ///< total requests routed
-  std::uint64_t hot_keys = 0;       ///< keys promoted past hot_threshold
-  std::uint64_t replica_reads = 0;  ///< reads load-balanced off the owner
+  /// Always 0: every request is served by its owner. The field remains
+  /// only because the benchmark harness (perfbench/src/layers.cpp) reports
+  /// its share of queries; it goes when that harness next changes.
+  std::uint64_t replica_reads = 0;
   std::uint64_t remap_events = 0;   ///< kill_shard + revive_shard transitions
   std::uint64_t remapped_keys = 0;  ///< keys whose owner changed across remaps
   /// Section-2.4 cost model of every remap so far: each migrated instance is
@@ -135,11 +125,8 @@ struct FabricStats {
 /// residency scales with the shard count.
 ///
 /// Placement: requests hash their (base, n) to a point on a HashRing
-/// published through an RCU cell — routing reads never lock. Instances
-/// promoted to *hot* (per-key serve counters crossing hot_threshold)
-/// replicate to their hot_replicas ring successors and round-robin reads
-/// across the chain, echoing the paper's fault-tolerance theme one level
-/// up: rings placed on rings.
+/// published through an RCU cell — routing reads never lock — and every
+/// request is served by that point's owner.
 ///
 /// Shard loss (kill_shard) republishes a ring without the victim — only its
 /// arc remaps, to its successors — drains the victim's queued work back
@@ -159,8 +146,8 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Serves one request inline on its owning shard's engine (replica chain
-  /// for hot keys). Thread-safe; routing is wait-free.
+  /// Serves one request inline on its owning shard's engine. Thread-safe;
+  /// routing is wait-free once the instance has been seen.
   EmbedResponse query(const EmbedRequest& request);
 
   /// Serves a batch through the per-shard worker pools: each request is
@@ -171,10 +158,10 @@ class ShardRouter {
 
   /// Fail-stop removal of `shard`: republishes the ring without it (routing
   /// moves instantly), re-routes its queued work, joins its pool, and
-  /// eagerly rebuilds every remapped instance's context on its new owner
-  /// (hot keys warm their whole replica chain). Returns when the fabric is
-  /// fully recovered — the caller's wall clock around this call *is* the
-  /// time-to-recovery. Requires `shard` alive and not the last one.
+  /// eagerly rebuilds every remapped instance's context on its new owner.
+  /// Returns when the fabric is fully recovered — the caller's wall clock
+  /// around this call *is* the time-to-recovery. Requires `shard` alive and
+  /// not the last one.
   void kill_shard(ShardId shard);
 
   /// Brings a killed shard back: restarts its pool, warms the contexts of
@@ -193,10 +180,6 @@ class ShardRouter {
 
   /// The shard currently owning instance (base, n).
   ShardId owner_of(Digit base, unsigned n) const;
-
-  /// The owner-first distinct replica chain of (base, n), as routed for hot
-  /// keys: 1 + hot_replicas shards (fewer when the ring is smaller).
-  std::vector<ShardId> replica_chain(Digit base, unsigned n) const;
 
   /// The engine of the shard currently owning (base, n) — what a stateful
   /// session binds to. The engine outlives kill_shard (sessions may pin it);
@@ -217,17 +200,9 @@ class ShardRouter {
   const FabricOptions& options() const { return options_; }
 
  private:
-  /// Routing-visible per-instance state. `serves` drives hot promotion;
-  /// `next_read` round-robins a hot key's replica chain.
-  struct KeyState {
-    KeyState(Digit b, unsigned len) : base(b), n(len) {}
-    const Digit base;
-    const unsigned n;
-    std::atomic<std::uint64_t> serves{0};
-    std::atomic<bool> hot{false};
-    std::atomic<std::uint32_t> next_read{0};
-  };
-  using KeyMap = std::unordered_map<std::uint64_t, std::shared_ptr<KeyState>>;
+  /// key_of() of every instance routed so far: what stats() counts and
+  /// kill/revive remap.
+  using KeySet = std::unordered_set<std::uint64_t>;
 
   struct BatchState;
   /// One unit of pool work: fill `*response` from `*request`, then credit
@@ -244,7 +219,6 @@ class ShardRouter {
     std::unique_ptr<EmbedEngine> engine;
     std::atomic<bool> alive{true};
     std::atomic<std::uint64_t> queries{0};
-    std::atomic<std::uint64_t> replica_reads{0};
     util::Mutex mu;
     util::CondVar cv;
     std::deque<BatchItem> queue DBR_GUARDED_BY(mu);  ///< pending pool work
@@ -257,10 +231,12 @@ class ShardRouter {
   static std::uint64_t key_of(Digit base, unsigned n) {
     return (static_cast<std::uint64_t>(base) << 32) | n;
   }
+  static Digit base_of(std::uint64_t key) { return static_cast<Digit>(key >> 32); }
+  static unsigned n_of(std::uint64_t key) { return static_cast<unsigned>(key); }
 
-  std::shared_ptr<KeyState> key_state(Digit base, unsigned n);
-  /// Routes one request: bumps serve counters, promotes to hot, picks the
-  /// target shard (replica round-robin for hot keys) off the current ring.
+  /// Adds (base, n) to the observed key set unless it is already there.
+  void observe(Digit base, unsigned n);
+  /// Routes one request to its owner off the current ring and counts it.
   Shard& route(const EmbedRequest& request);
   /// Enqueues a batch item on its routed shard, re-routing if that shard
   /// stopped accepting (its ring departure is already published).
@@ -278,14 +254,13 @@ class ShardRouter {
   std::vector<std::unique_ptr<Shard>> shards_;
   util::RcuSnapshot<HashRing> ring_;  ///< alive shards only; never null
   mutable util::Mutex ring_mu_;       ///< serializes ring_ writers
-  util::RcuSnapshot<KeyMap> keys_;    ///< observed instance keys
+  util::RcuSnapshot<KeySet> keys_;    ///< observed keys; never null
   util::Mutex keys_mu_;               ///< serializes keys_ writers
   /// Serializes kill/revive and guards the remap accounting below.
   mutable util::Mutex admin_mu_;
   std::uint64_t remap_events_ DBR_GUARDED_BY(admin_mu_) = 0;
   std::uint64_t remapped_keys_ DBR_GUARDED_BY(admin_mu_) = 0;
   core::DistributedFfcStats remap_cost_ DBR_GUARDED_BY(admin_mu_);
-  std::atomic<std::uint64_t> hot_keys_{0};
 };
 
 }  // namespace dbr::service

@@ -19,17 +19,17 @@ class invariant_error : public std::logic_error {
 };
 
 /// Checks a documented precondition of a public entry point.
-/// Throws dbr::precondition_error with the offending location on failure.
-inline void require(bool condition, const std::string& message,
-                    std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw precondition_error(std::string(loc.file_name()) + ":" +
-                             std::to_string(loc.line()) + ": " + message);
-  }
+/// Throws dbr::precondition_error carrying exactly `message` on failure:
+/// the text is the caller's to see (the service sends it to remote clients
+/// in kBadRequest replies), so it names the violated condition and never
+/// the source location of the check.
+inline void require(bool condition, const std::string& message) {
+  if (!condition) throw precondition_error(message);
 }
 
 /// Checks an internal invariant. Failure means the library itself is wrong,
-/// so the error type is distinct from precondition violations.
+/// so the error type is distinct from precondition violations and its text
+/// starts with the source location of the failed check.
 inline void ensure(bool condition, const std::string& message,
                    std::source_location loc = std::source_location::current()) {
   if (!condition) {

@@ -539,7 +539,8 @@ std::string TrafficScenario::describe() const {
   out += " events=[";
   for (std::size_t i = 0; i < churn.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "@" + std::to_string(churn[i].round);
+    out += '@';
+    out += std::to_string(churn[i].round);
     out += churn[i].event.add ? '+' : '-';
     if (mixed) {
       out += churn[i].event.kind == service::FaultKind::kEdge ? "e" : "n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -115,24 +114,7 @@ TEST(HashRing, DeterministicPlacementAcrossBuilds) {
   for (const auto& [d, n] : test_instances()) {
     const std::uint64_t point = HashRing::instance_point(d, n);
     EXPECT_EQ(a.owner(point), b.owner(point));
-    EXPECT_EQ(a.successors(point, 3), b.successors(point, 3));
   }
-}
-
-TEST(HashRing, SuccessorsAreDistinctAndOwnerFirst) {
-  HashRing ring(64);
-  for (ShardId s = 0; s < 5; ++s) ring.add(s);
-  for (const auto& [d, n] : test_instances()) {
-    const std::uint64_t point = HashRing::instance_point(d, n);
-    const std::vector<ShardId> chain = ring.successors(point, 3);
-    ASSERT_EQ(chain.size(), 3u);
-    EXPECT_EQ(chain.front(), ring.owner(point));
-    std::set<ShardId> distinct(chain.begin(), chain.end());
-    EXPECT_EQ(distinct.size(), chain.size());
-  }
-  // Asking for more shards than exist returns them all, once each.
-  const std::vector<ShardId> all = ring.successors(123, 99);
-  EXPECT_EQ(all.size(), 5u);
 }
 
 TEST(HashRing, PreconditionsThrow) {
@@ -149,7 +131,6 @@ FabricOptions small_fabric(std::size_t shards, std::size_t workers = 0) {
   FabricOptions opts;
   opts.shards = shards;
   opts.workers_per_shard = workers;
-  opts.hot_threshold = 0;  // replication off unless a test opts in
   return opts;
 }
 
@@ -195,29 +176,27 @@ TEST(ShardRouter, QueryBatchMatchesIndividualQueries) {
   }
 }
 
-TEST(ShardRouter, HotKeyReplicationSpreadsReads) {
-  FabricOptions opts = small_fabric(4);
-  opts.hot_threshold = 8;
-  opts.hot_replicas = 2;
-  ShardRouter fabric(opts);
+TEST(ShardRouter, HotKeysStayOnTheirOwner) {
+  // Default options: however often one instance is served, only its owner
+  // answers, so its context is built once fabric-wide.
+  ShardRouter fabric;
   EmbedEngine single;
-  const EmbedRequest req = node_request(2, 6, {1, 9});
-  const auto expected = single.query(req);
-  for (int i = 0; i < 200; ++i) {
+  constexpr std::uint64_t kServes = 200;
+  for (std::uint64_t i = 0; i < kServes; ++i) {
+    const EmbedRequest req = node_request(2, 6, {i % 8, 9 + i % 5});
     const EmbedResponse got = fabric.query(req);
-    ASSERT_TRUE(got.result);
+    const EmbedResponse expected = single.query(req);
+    ASSERT_TRUE(got.result && expected.result);
     EXPECT_TRUE(got.result->same_embedding(*expected.result));
   }
+  const ShardId owner = fabric.owner_of(2, 6);
   const FabricStats stats = fabric.stats();
-  EXPECT_EQ(stats.hot_keys, 1u);
-  // Past the threshold, reads round-robin the 3-shard chain: the two
-  // replicas absorb roughly two thirds of the tail.
-  EXPECT_GT(stats.replica_reads, 100u);
-  const std::vector<ShardId> chain = fabric.replica_chain(2, 6);
-  ASSERT_EQ(chain.size(), 3u);
-  std::uint64_t served_by_chain = 0;
-  for (ShardId s : chain) served_by_chain += stats.shards[s].queries;
-  EXPECT_EQ(served_by_chain, 200u);
+  EXPECT_EQ(stats.queries, kServes);
+  for (const FabricShardStats& s : stats.shards) {
+    EXPECT_EQ(s.queries, s.shard == owner ? kServes : 0u) << "shard " << s.shard;
+    EXPECT_EQ(s.engine.contexts.misses, s.shard == owner ? 1u : 0u)
+        << "shard " << s.shard;
+  }
 }
 
 TEST(ShardRouter, KillShardRemapsOnlyItsArcAndKeepsAnswers) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -159,6 +160,28 @@ TEST(NetServer, BadInstanceAnswersBadRequestNotDisconnect) {
   EXPECT_EQ(reply.status, WireStatus::kBadRequest);
   EXPECT_FALSE(reply.message.empty());
   EXPECT_EQ(rig.client.stats().status, WireStatus::kOk);
+}
+
+// A precondition failure's text crosses the wire as-is, so it must be the
+// named condition alone: no source file path or line of the check.
+TEST(NetServer, BadRequestReplyCarriesNoSourcePath) {
+  Rig rig;
+  const auto expect_clean = [](const std::string& message) {
+    EXPECT_EQ(message.rfind("fault word 64 out of range", 0), 0u) << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
+  };
+  // Stateful: the session's add_fault precondition answers kBadRequest.
+  ASSERT_EQ(rig.client.configure_session(2, 6, FaultKind::kNode).status,
+            WireStatus::kOk);
+  const Client::FaultReply fault = rig.client.add_fault(FaultKind::kNode, 64);
+  EXPECT_EQ(fault.status, WireStatus::kBadRequest);
+  expect_clean(fault.message);
+  // Stateless: the engine's answer carries the same text in its error.
+  const Client::SolveReply solve = rig.client.solve(node_request(2, 6, {64}));
+  ASSERT_EQ(solve.status, WireStatus::kOk) << solve.message;
+  EXPECT_EQ(solve.embed.status, EmbedStatus::kBadRequest);
+  expect_clean(solve.embed.error);
 }
 
 TEST(NetServer, BackpressureEngagesUnderTinyQueueBound) {

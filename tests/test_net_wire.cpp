@@ -295,8 +295,6 @@ TEST(WireStatsVersioning, FabricSectionRoundTripsBitIdentically) {
   WireStats s = sample_stats();
   s.has_fabric = true;
   s.fabric.queries = 101;
-  s.fabric.hot_keys = 3;
-  s.fabric.replica_reads = 17;
   s.fabric.remap_events = 2;
   s.fabric.remapped_keys = 11;
   s.fabric.remap_rounds = 240;
@@ -307,7 +305,6 @@ TEST(WireStatsVersioning, FabricSectionRoundTripsBitIdentically) {
     shard.alive = i != 2;
     shard.keys_owned = 10 + i;
     shard.queries = 100 * (i + 1);
-    shard.replica_reads = 5 * i;
     shard.context_builds = 3 + i;
     s.fabric.shards.push_back(shard);
   }
@@ -469,6 +466,59 @@ TEST(WireGolden, ReplyFrameBytes) {
             "bf020000006521010300000001000000"
             "0000000001000000000000801a000000"
             "00000000");
+}
+
+// The fabric section of a STATS payload pinned byte for byte: the aggregate
+// counters, then each shard entry. Three u64 slots that once carried
+// hot-key replication counters (after `queries`, and after each shard's
+// `queries`) are still written, as zeros, so the layout is unchanged for
+// every peer.
+TEST(WireGolden, StatsFabricSectionBytes) {
+  WireStats s = sample_stats();
+  std::vector<std::uint8_t> plain;
+  WireWriter plain_writer(plain);
+  encode_stats(plain_writer, s);
+
+  s.has_fabric = true;
+  s.fabric.queries = 0x0102;
+  s.fabric.remap_events = 2;
+  s.fabric.remapped_keys = 11;
+  s.fabric.remap_rounds = 240;
+  s.fabric.remap_messages = 90000;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    WireFabricShard shard;
+    shard.shard = i;
+    shard.alive = i == 0;
+    shard.keys_owned = 10 + i;
+    shard.queries = 100 * (i + 1);
+    shard.context_builds = 3 + i;
+    s.fabric.shards.push_back(shard);
+  }
+  std::vector<std::uint8_t> payload;
+  WireWriter w(payload);
+  encode_stats(w, s);
+
+  // Up to the has_fabric byte the payload matches the fabric-less one.
+  const std::size_t section = plain.size() - 1;
+  ASSERT_GT(payload.size(), section);
+  ASSERT_TRUE(std::equal(plain.begin(), plain.begin() + section,
+                         payload.begin()));
+  EXPECT_EQ(to_hex(std::span(payload).subspan(section)),
+            "01020100000000000000000000000000"
+            "00000000000000000002000000000000"
+            "000b00000000000000f0000000000000"
+            "00905f01000000000002000000000000"
+            "00010a00000000000000640000000000"
+            "00000000000000000000030000000000"
+            "000001000000000b00000000000000c8"
+            "00000000000000000000000000000004"
+            "00000000000000");
+
+  WireReader r(payload);
+  WireStats out;
+  ASSERT_TRUE(decode_stats(r, &out));
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(out.fabric, s.fabric);
 }
 
 // --- FrameWriter --------------------------------------------------------------
