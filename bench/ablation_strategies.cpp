@@ -14,6 +14,7 @@
 #include "core/edge_fault.hpp"
 #include "core/ffc.hpp"
 #include "debruijn/cycle.hpp"
+#include "ffc_reference.hpp"
 #include "nt/numtheory.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -91,23 +92,23 @@ void print_tables() {
 
   heading("(b) FFC root invariance (B(2,10), f = 5, 10 random fault sets)");
   {
-    const core::FfcSolver solver{DeBruijnDigraph(2, 10)};
-    const WordSpace& ws = solver.graph().words();
+    const auto ctx = core::InstanceContext::make(2, 10);
+    const WordSpace& ws = ctx->words();
     Rng rng(seed());
     TextTable t({"fault set", "roots tried", "distinct |H| values", "|B*|"});
     for (unsigned trial = 0; trial < 10; ++trial) {
       const auto faults = rng.sample_distinct(ws.size(), 5);
-      const auto base = solver.solve(faults);
+      const auto base = core::solve_ffc(*ctx, faults);
       // Try every necklace representative inside the same component.
-      const auto active = solver.active_mask(faults);
-      const auto comp = solver.component_of(active, base.root);
+      const auto active = ffc_reference::active_mask(*ctx, faults);
+      const auto comp = ffc_reference::component_of(*ctx, active, base.root);
       std::set<std::uint64_t> lengths;
       unsigned roots = 0;
       for (Word rep = 0; rep < ws.size(); ++rep) {
         if (!comp[rep] || ws.min_rotation(rep) != rep) continue;
         core::FfcOptions opts;
         opts.root = rep;
-        lengths.insert(solver.solve(faults, opts).cycle.length());
+        lengths.insert(core::solve_ffc(*ctx, faults, opts).cycle.length());
         ++roots;
       }
       t.new_row().add(trial).add(roots).add(lengths.size()).add(base.bstar_size);
@@ -118,19 +119,18 @@ void print_tables() {
 
   heading("(c) Beyond the proven budget: empirical survival (d = 5, n = 3)");
   {
-    const std::uint64_t d = 5;
-    const unsigned n = 3;
-    const WordSpace ws(5, 3);
+    const auto ctx = core::InstanceContext::make(5, 3);
+    const WordSpace& ws = ctx->words();
     Rng rng(seed() + 2);
     TextTable t({"f", "budget", "family ok", "phi ok", "either ok", "trials"});
-    const unsigned budget = static_cast<unsigned>(core::max_tolerable_edge_faults(d));
+    const unsigned budget = static_cast<unsigned>(core::max_tolerable_edge_faults(ctx->base()));
     for (unsigned f = 0; f <= budget + 5; ++f) {
       unsigned fam_ok = 0, phi_ok = 0, any_ok = 0;
       const unsigned tries = 20;
       for (unsigned trial = 0; trial < tries; ++trial) {
         const auto faults = random_nonloop_edges(ws, f, rng);
-        const auto fam = core::fault_free_hc_family_scan(d, n, faults);
-        const auto phi = core::fault_free_hc_phi_construction(d, n, faults);
+        const auto fam = core::solve_edge_scan(*ctx, faults);
+        const auto phi = core::solve_edge_phi(*ctx, faults);
         if (fam.has_value()) ++fam_ok;
         if (phi.has_value()) ++phi_ok;
         if (fam.has_value() || phi.has_value()) ++any_ok;

@@ -42,12 +42,12 @@ void print_tables() {
 
   heading("Constructive check over random 2-fault sets (10 trials each)");
   {
-    const core::FfcSolver solver(debruijn);
+    const auto ctx = core::InstanceContext::make(4, 6);
     Rng rng(seed());
     TextTable t({"trial", "B(4,6) cycle", ">= 4084", "Q_12 cycle", ">= 4092"});
     for (unsigned trial = 0; trial < 10; ++trial) {
       const auto db_faults = rng.sample_distinct(debruijn.num_nodes(), 2);
-      const auto db = solver.solve(db_faults);
+      const auto db = core::solve_ffc(*ctx, db_faults);
       const auto hc_faults = rng.sample_distinct(cube.num_nodes(), 2);
       const auto hc = hypercube::fault_free_cycle(12, hc_faults);
       t.new_row()
@@ -79,11 +79,11 @@ void print_tables() {
 }
 
 void BM_DeBruijnSide(benchmark::State& state) {
-  const core::FfcSolver solver{DeBruijnDigraph(4, 6)};
+  const auto ctx = core::InstanceContext::make(4, 6);
   Rng rng(3);
   const auto faults = rng.sample_distinct(4096, 2);
   for (auto _ : state) {
-    auto r = solver.solve(faults);
+    auto r = core::solve_ffc(*ctx, faults);
     benchmark::DoNotOptimize(r.cycle.length());
   }
 }

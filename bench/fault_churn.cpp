@@ -15,12 +15,12 @@
 //     served by a stateful EmbedSession (pinned context + result cache)
 //     vs a cold stateless query per event. Reports per-update latency.
 //
-//  3. Raw cold-solve speed: the allocation-free arena path (solve_ffc into
-//     a reused SolveScratch, leaning on the context's precomputed
-//     label-merge tables) vs the legacy per-call-allocation reference
-//     (FfcSolver::solve) on the same shared context. Results are asserted
-//     bit-identical field for field; the JSON `cold_solve_speedup` field is
-//     the number CI's fault-churn smoke gates on.
+//  3. Raw cold-solve speed: the arena solve (solve_ffc into a reused
+//     SolveScratch, leaning on the context's precomputed label-merge
+//     tables) vs the per-call-allocation reference solve of
+//     bench/ffc_reference.hpp on the same shared context. Results are
+//     asserted bit-identical field for field; the JSON `cold_solve_speedup`
+//     field is the number CI's fault-churn smoke gates on.
 //
 //  4. Incremental repair vs full recompute: the same churn timeline (every
 //     event a single-fault delta) through a repair-enabled session
@@ -52,6 +52,7 @@
 #include "core/ffc.hpp"
 #include "core/instance_context.hpp"
 #include "core/solve_scratch.hpp"
+#include "ffc_reference.hpp"
 #include "service/engine.hpp"
 #include "service/session.hpp"
 #include "service/stats.hpp"
@@ -257,25 +258,24 @@ int main(int argc, char** argv) {
             << overall_speedup << "x, identical responses: "
             << (identical ? "yes" : "NO") << "\n";
 
-  // --- Raw cold-solve speed: arena path vs legacy allocation path. ---
-  dbr::bench::heading("fault churn: raw FFC solve, arena vs legacy allocation");
+  // --- Raw cold-solve speed: arena solve vs the reference solve. ---
+  dbr::bench::heading("fault churn: raw FFC solve, arena vs reference");
   const Family& raw_family = kFamilies[0];  // ffc_node_b2_n12
   const std::vector<EmbedRequest> raw_stream =
       distinct_fault_stream(raw_family, rng, queries);
   const auto raw_ctx =
       dbr::core::InstanceContext::make(raw_family.base, raw_family.n);
-  const dbr::core::FfcSolver raw_solver(*raw_ctx);
   dbr::core::SolveScratch raw_scratch;
 
   // Solve first, compare after: the identity audit stays out of both
   // timed loops.
-  std::vector<dbr::core::FfcResult> legacy_results, arena_results;
-  legacy_results.reserve(raw_stream.size());
+  std::vector<dbr::core::FfcResult> reference_results, arena_results;
+  reference_results.reserve(raw_stream.size());
   arena_results.reserve(raw_stream.size());
-  const Clock::time_point legacy_start = Clock::now();
+  const Clock::time_point reference_start = Clock::now();
   for (const EmbedRequest& req : raw_stream)
-    legacy_results.push_back(raw_solver.solve(req.faults));
-  const double legacy_wall = micros_since(legacy_start);
+    reference_results.push_back(dbr::ffc_reference::solve(*raw_ctx, req.faults));
+  const double reference_wall = micros_since(reference_start);
   const Clock::time_point arena_start = Clock::now();
   for (const EmbedRequest& req : raw_stream)
     arena_results.push_back(dbr::core::solve_ffc(*raw_ctx, req.faults, raw_scratch));
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
 
   bool raw_identical = true;
   for (std::size_t i = 0; i < raw_stream.size(); ++i) {
-    const dbr::core::FfcResult& a = legacy_results[i];
+    const dbr::core::FfcResult& a = reference_results[i];
     const dbr::core::FfcResult& b = arena_results[i];
     raw_identical = raw_identical && a.cycle == b.cycle && a.root == b.root &&
                     a.bstar_size == b.bstar_size &&
@@ -297,24 +297,24 @@ int main(int argc, char** argv) {
   identical = identical && raw_identical;
 
   const double cold_solve_speedup =
-      arena_wall > 0.0 ? legacy_wall / arena_wall : 0.0;
+      arena_wall > 0.0 ? reference_wall / arena_wall : 0.0;
   dbr::TextTable raw_table(
-      {"family", "queries", "legacy_us/q", "arena_us/q", "speedup"});
+      {"family", "queries", "reference_us/q", "arena_us/q", "speedup"});
   raw_table.new_row()
       .add(raw_family.name)
       .add(static_cast<std::uint64_t>(raw_stream.size()))
-      .add(legacy_wall / static_cast<double>(raw_stream.size()), 1)
+      .add(reference_wall / static_cast<double>(raw_stream.size()), 1)
       .add(arena_wall / static_cast<double>(raw_stream.size()), 1)
       .add(cold_solve_speedup, 2);
   dbr::bench::emit(raw_table);
-  std::cout << "raw cold-solve speedup (arena vs legacy): "
+  std::cout << "raw cold-solve speedup (arena vs reference): "
             << cold_solve_speedup << "x, bit-identical results: "
             << (raw_identical ? "yes" : "NO") << "\n";
   json.key("raw_speed")
       .begin_object()
       .field("family", raw_family.name)
       .field("queries", static_cast<std::uint64_t>(raw_stream.size()))
-      .field("legacy_wall_micros", legacy_wall)
+      .field("legacy_wall_micros", reference_wall)
       .field("arena_wall_micros", arena_wall)
       .field("cold_solve_speedup", cold_solve_speedup)
       .field("identical_results", raw_identical)

@@ -12,7 +12,8 @@
 #include <vector>
 
 #include "core/distributed_ffc.hpp"
-#include "core/ffc.hpp"
+#include "core/instance_context.hpp"
+#include "ffc_reference.hpp"
 #include "graph/algorithms.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -31,10 +32,10 @@ struct SweepRow {
   std::uint32_t min_ecc = 0;
 };
 
-inline SweepRow fault_sweep_row(const core::FfcSolver& solver, unsigned f,
+inline SweepRow fault_sweep_row(const core::InstanceContext& ctx, unsigned f,
                                 std::uint64_t num_trials, std::uint64_t seed) {
-  const auto& graph = solver.graph();
-  const WordSpace& ws = graph.words();
+  const WordSpace& ws = ctx.words();
+  const DeBruijnDigraph graph(ws);
   const core::DistributedFfcSolver root_picker(graph);
   SweepRow row;
   row.faults = f;
@@ -50,8 +51,8 @@ inline SweepRow fault_sweep_row(const core::FfcSolver& solver, unsigned f,
       const auto faults = rng.sample_distinct(ws.size(), f);
       // R = 0...01, or the nearest nonfaulty node when its necklace died.
       const Word root = root_picker.default_root(faults);
-      const auto active = solver.active_mask(faults);
-      const auto comp = solver.component_of(active, root);
+      const auto active = ffc_reference::active_mask(ctx, faults);
+      const auto comp = ffc_reference::component_of(ctx, active, root);
       std::uint64_t size = 0;
       for (Word v = 0; v < ws.size(); ++v) size += comp[v] ? 1 : 0;
       const SubgraphView<DeBruijnDigraph> view(graph, comp);
@@ -79,11 +80,11 @@ inline SweepRow fault_sweep_row(const core::FfcSolver& solver, unsigned f,
 inline TextTable fault_sweep_table(Digit d, unsigned n,
                                    const std::vector<unsigned>& fault_counts,
                                    std::uint64_t num_trials, std::uint64_t seed) {
-  const core::FfcSolver solver{DeBruijnDigraph(d, n)};
+  const auto ctx = core::InstanceContext::make(d, n);
   TextTable table({"f", "Avg. Size", "Max. Size", "Min. Size", "d^n - nf",
                    "Avg. Ecc.", "Max. Ecc.", "Min. Ecc."});
   for (unsigned f : fault_counts) {
-    const SweepRow row = fault_sweep_row(solver, f, num_trials, seed);
+    const SweepRow row = fault_sweep_row(*ctx, f, num_trials, seed);
     table.new_row()
         .add(row.faults)
         .add(row.avg_size, 2)

@@ -69,14 +69,14 @@ void print_tables() {
 void BM_CentralizedSolve(benchmark::State& state) {
   const Digit d = static_cast<Digit>(state.range(0));
   const unsigned n = static_cast<unsigned>(state.range(1));
-  const core::FfcSolver solver{DeBruijnDigraph(d, n)};
+  const auto ctx = core::InstanceContext::make(d, n);
   Rng rng(1);
-  const auto faults = rng.sample_distinct(solver.graph().num_nodes(), 3);
+  const auto faults = rng.sample_distinct(ctx->words().size(), 3);
   for (auto _ : state) {
-    auto r = solver.solve(faults);
+    auto r = core::solve_ffc(*ctx, faults);
     benchmark::DoNotOptimize(r.bstar_size);
   }
-  state.SetComplexityN(static_cast<std::int64_t>(solver.graph().num_nodes()));
+  state.SetComplexityN(static_cast<std::int64_t>(ctx->words().size()));
 }
 BENCHMARK(BM_CentralizedSolve)
     ->Args({2, 8})

@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 #include "core/ffc.hpp"
 #include "debruijn/cycle.hpp"
+#include "ffc_reference.hpp"
 #include "util/require.hpp"
 #include "util/table.hpp"
 
@@ -18,8 +19,8 @@ using namespace dbr;
 using namespace dbr::bench;
 
 void print_tables() {
-  const core::FfcSolver solver{DeBruijnDigraph(3, 3)};
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = core::InstanceContext::make(3, 3);
+  const WordSpace& ws = ctx->words();
   const WordSpace label_ws(3, 2);
   const std::vector<Word> faults{
       ws.from_digits(std::vector<Digit>{0, 2, 0}),
@@ -39,8 +40,8 @@ void print_tables() {
   std::cout << "\n";
 
   heading("Figure 2.3 - necklace adjacency graph N* of B*");
-  const auto active = solver.active_mask(faults);
-  const auto nstar = solver.necklace_adjacency(active);
+  const auto active = ffc_reference::active_mask(*ctx, faults);
+  const auto nstar = ffc_reference::necklace_adjacency(*ctx, active);
   std::cout << nstar.reps.size() << " necklaces, " << nstar.edges.size()
             << " labeled edges (antiparallel pairs)\n";
   for (const auto& e : nstar.edges) {
@@ -50,7 +51,7 @@ void print_tables() {
     }
   }
 
-  const auto result = solver.solve(faults);
+  const auto result = core::solve_ffc(*ctx, faults);
 
   heading("Figure 2.4(a) - spanning tree T of N* (rooted at [000])");
   for (const auto& e : result.tree_edges) {
@@ -82,12 +83,12 @@ void print_tables() {
 }
 
 void BM_Example21Solve(benchmark::State& state) {
-  const core::FfcSolver solver{DeBruijnDigraph(3, 3)};
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = core::InstanceContext::make(3, 3);
+  const WordSpace& ws = ctx->words();
   const std::vector<Word> faults{ws.from_digits(std::vector<Digit>{0, 2, 0}),
                                  ws.from_digits(std::vector<Digit>{1, 1, 2})};
   for (auto _ : state) {
-    auto result = solver.solve(faults);
+    auto result = core::solve_ffc(*ctx, faults);
     benchmark::DoNotOptimize(result.cycle.length());
   }
 }

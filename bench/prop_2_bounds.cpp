@@ -26,15 +26,15 @@ void print_tables() {
     Rng rng(seed());
     for (auto [d, n] : {std::pair<Digit, unsigned>{3, 4}, {4, 4}, {5, 3}, {6, 3},
                         {7, 3}, {8, 2}, {9, 3}}) {
-      const core::FfcSolver solver{DeBruijnDigraph(d, n)};
-      const WordSpace& ws = solver.graph().words();
+      const auto ctx = core::InstanceContext::make(d, n);
+      const WordSpace& ws = ctx->words();
       for (unsigned f = 1; f <= d - 2; f += (d > 5 ? 2 : 1)) {
         std::uint64_t min_len = ws.size();
         std::uint32_t max_ecc = 0;
         const unsigned num_trials = 50;
         for (unsigned trial = 0; trial < num_trials; ++trial) {
           const auto faults = rng.sample_distinct(ws.size(), f);
-          const auto r = solver.solve(faults);
+          const auto r = core::solve_ffc(*ctx, faults);
           min_len = std::min<std::uint64_t>(min_len, r.cycle.length());
           max_ecc = std::max(max_ecc, r.root_eccentricity);
         }
@@ -56,11 +56,11 @@ void print_tables() {
   {
     TextTable t({"n", "faults tried", "min |H|", "2^n - (n+1)"});
     for (unsigned n : {4u, 6u, 8u, 10u}) {
-      const core::FfcSolver solver{DeBruijnDigraph(2, n)};
-      const WordSpace& ws = solver.graph().words();
+      const auto ctx = core::InstanceContext::make(2, n);
+      const WordSpace& ws = ctx->words();
       std::uint64_t min_len = ws.size();
       for (Word fault = 0; fault < ws.size(); ++fault) {
-        const auto r = solver.solve(std::vector<Word>{fault});
+        const auto r = core::solve_ffc(*ctx, std::vector<Word>{fault});
         min_len = std::min<std::uint64_t>(min_len, r.cycle.length());
       }
       t.new_row().add(n).add(ws.size()).add(min_len).add(
@@ -74,8 +74,8 @@ void print_tables() {
     TextTable t({"d", "n", "f", "FFC length", "d^n - nf", "exhaustive optimum"});
     for (auto [d, n, f] : {std::tuple<Digit, unsigned, unsigned>{3, 2, 1},
                            {4, 2, 1}, {4, 2, 2}, {5, 2, 3}, {3, 3, 1}}) {
-      const core::FfcSolver solver{DeBruijnDigraph(d, n)};
-      const WordSpace& ws = solver.graph().words();
+      const auto ctx = core::InstanceContext::make(d, n);
+      const WordSpace& ws = ctx->words();
       std::vector<Word> faults;
       std::vector<bool> active(ws.size(), true);
       for (Digit a = 0; a < f; ++a) {
@@ -84,8 +84,8 @@ void print_tables() {
         faults.push_back(x);
         active[x] = false;
       }
-      const auto r = solver.solve(faults);
-      const auto best = longest_cycle_bruteforce(solver.graph().materialize(), active);
+      const auto r = core::solve_ffc(*ctx, faults);
+      const auto best = longest_cycle_bruteforce(DeBruijnDigraph(ws).materialize(), active);
       t.new_row()
           .add(static_cast<std::uint64_t>(d))
           .add(n)
@@ -101,14 +101,14 @@ void print_tables() {
 void BM_SolveWorstCase(benchmark::State& state) {
   const Digit d = static_cast<Digit>(state.range(0));
   const unsigned n = static_cast<unsigned>(state.range(1));
-  const core::FfcSolver solver{DeBruijnDigraph(d, n)};
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = core::InstanceContext::make(d, n);
+  const WordSpace& ws = ctx->words();
   std::vector<Word> faults;
   for (Digit a = 0; a + 2 < d; ++a) {
     faults.push_back(ws.with_digit(ws.repeated(a), n - 1, d - 1));
   }
   for (auto _ : state) {
-    auto r = solver.solve(faults);
+    auto r = core::solve_ffc(*ctx, faults);
     benchmark::DoNotOptimize(r.cycle.length());
   }
 }

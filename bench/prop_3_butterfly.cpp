@@ -55,17 +55,21 @@ void print_tables() {
     Rng rng(seed());
     for (auto [d, n] : {std::pair<Digit, unsigned>{2, 3}, {3, 4}, {4, 3}, {5, 3},
                         {7, 2}, {9, 2}}) {
-      const ButterflyDigraph bf(d, n);
+      const auto ctx = core::InstanceContext::make(d, n);
+      const ButterflyDigraph& bf = ctx->butterfly();
       const auto edges = bf.materialize().edge_list();
       const unsigned budget = static_cast<unsigned>(core::max_tolerable_edge_faults(d));
       unsigned ok = 0;
       const unsigned tries = 15;
       for (unsigned trial = 0; trial < tries; ++trial) {
         std::vector<std::pair<NodeId, NodeId>> faults;
+        std::vector<Word> pulled_back;
         for (auto idx : rng.sample_distinct(edges.size(), budget)) {
           faults.push_back(edges[idx]);
+          pulled_back.push_back(
+              butterfly::pull_back_edge(bf, edges[idx].first, edges[idx].second));
         }
-        const auto hc = core::butterfly_fault_free_hc(bf, faults);
+        const auto hc = core::solve_butterfly(*ctx, pulled_back);
         if (!hc.has_value() || !butterfly::is_butterfly_cycle(bf, *hc)) continue;
         std::set<std::pair<NodeId, NodeId>> used;
         for (std::size_t i = 0; i < hc->size(); ++i) {

@@ -35,14 +35,15 @@ void print_tables() {
     TextTable t({"d", "budget", "trials", "successes", "via family", "via phi"});
     Rng rng(seed());
     for (std::uint64_t d = 3; d <= 16; ++d) {
-      const WordSpace ws(static_cast<Digit>(d), 2);
+      const auto ctx = core::InstanceContext::make(static_cast<Digit>(d), 2);
+      const WordSpace& ws = ctx->words();
       const unsigned budget = static_cast<unsigned>(core::max_tolerable_edge_faults(d));
       unsigned ok = 0, via_family = 0, via_phi = 0;
       const unsigned tries = 30;
       for (unsigned trial = 0; trial < tries; ++trial) {
         const auto faults = random_nonloop_edges(ws, budget, rng);
-        const auto fam = core::fault_free_hc_family_scan(d, 2, faults);
-        const auto phi = core::fault_free_hc_phi_construction(d, 2, faults);
+        const auto fam = core::solve_edge_scan(*ctx, faults);
+        const auto phi = core::solve_edge_phi(*ctx, faults);
         if (fam.has_value()) ++via_family;
         if (phi.has_value()) ++via_phi;
         const auto any = fam.has_value() ? fam : phi;
@@ -60,12 +61,12 @@ void print_tables() {
   {
     TextTable t({"d", "budget d-2 ok", "d-1 cut infeasible"});
     for (std::uint64_t d : {3ull, 4ull, 5ull, 7ull, 8ull, 9ull}) {
-      const WordSpace ws(static_cast<Digit>(d), 2);
+      const auto ctx = core::InstanceContext::make(static_cast<Digit>(d), 2);
       std::vector<Word> cut;
-      for (Digit a = 1; a < d; ++a) cut.push_back(static_cast<Word>(a) * ws.size());
-      const auto infeasible = core::fault_free_hamiltonian_cycle(d, 2, cut);
+      for (Digit a = 1; a < d; ++a) cut.push_back(static_cast<Word>(a) * ctx->words().size());
+      const auto infeasible = core::solve_edge_auto(*ctx, cut);
       std::vector<Word> partial(cut.begin(), cut.end() - 1);  // d-2 of them
-      const auto feasible = core::fault_free_hamiltonian_cycle(d, 2, partial);
+      const auto feasible = core::solve_edge_auto(*ctx, partial);
       t.new_row()
           .add(d)
           .add(std::string(feasible.has_value() ? "yes" : "NO"))
@@ -80,13 +81,14 @@ void print_tables() {
     Rng rng(seed() + 1);
     for (auto [d, n] : {std::pair<std::uint64_t, unsigned>{3, 4}, {4, 3}, {5, 3},
                         {6, 3}, {8, 3}, {9, 3}}) {
-      const WordSpace ws(static_cast<Digit>(d), n);
+      const auto ctx = core::InstanceContext::make(static_cast<Digit>(d), n);
+      const WordSpace& ws = ctx->words();
       const unsigned budget = static_cast<unsigned>(core::max_tolerable_edge_faults(d));
       unsigned ok = 0;
       const unsigned tries = 15;
       for (unsigned trial = 0; trial < tries; ++trial) {
         const auto faults = random_nonloop_edges(ws, budget, rng);
-        const auto hc = core::fault_free_hamiltonian_cycle(d, n, faults);
+        const auto hc = core::solve_edge_auto(*ctx, faults);
         if (hc.has_value() && is_hamiltonian(ws, *hc) && avoids_edges(ws, *hc, faults)) {
           ++ok;
         }
@@ -100,12 +102,12 @@ void print_tables() {
 void BM_EdgeFaultRecovery(benchmark::State& state) {
   const std::uint64_t d = static_cast<std::uint64_t>(state.range(0));
   const unsigned n = static_cast<unsigned>(state.range(1));
-  const WordSpace ws(static_cast<Digit>(d), n);
+  const auto ctx = core::InstanceContext::make(static_cast<Digit>(d), n);
   Rng rng(5);
   const auto faults = random_nonloop_edges(
-      ws, static_cast<unsigned>(core::max_tolerable_edge_faults(d)), rng);
+      ctx->words(), static_cast<unsigned>(core::max_tolerable_edge_faults(d)), rng);
   for (auto _ : state) {
-    auto hc = core::fault_free_hamiltonian_cycle(d, n, faults);
+    auto hc = core::solve_edge_auto(*ctx, faults);
     benchmark::DoNotOptimize(hc.has_value());
   }
 }

@@ -26,22 +26,22 @@ void print_tables() {
 }
 
 void BM_ComponentAndEccentricity(benchmark::State& state) {
-  const core::FfcSolver solver{DeBruijnDigraph(2, 10)};
+  const auto ctx = core::InstanceContext::make(2, 10);
   const unsigned f = static_cast<unsigned>(state.range(0));
   std::uint64_t s = 0;
   for (auto _ : state) {
-    const auto row = fault_sweep_row(solver, f, 10, 7 + ++s);
+    const auto row = fault_sweep_row(*ctx, f, 10, 7 + ++s);
     benchmark::DoNotOptimize(row.avg_size);
   }
 }
 BENCHMARK(BM_ComponentAndEccentricity)->Arg(1)->Arg(10)->Arg(50);
 
 void BM_FullFfcSolve(benchmark::State& state) {
-  const core::FfcSolver solver{DeBruijnDigraph(2, 10)};
+  const auto ctx = core::InstanceContext::make(2, 10);
   Rng rng(123);
   const auto faults = rng.sample_distinct(1024, static_cast<std::uint64_t>(state.range(0)));
   for (auto _ : state) {
-    auto result = solver.solve(faults);
+    auto result = core::solve_ffc(*ctx, faults);
     benchmark::DoNotOptimize(result.bstar_size);
   }
 }

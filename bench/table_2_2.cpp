@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/ffc.hpp"
+#include "core/instance_context.hpp"
 #include "fault_sweep.hpp"
 
 namespace {
@@ -25,11 +25,11 @@ void print_tables() {
 }
 
 void BM_ComponentAndEccentricityB45(benchmark::State& state) {
-  const core::FfcSolver solver{DeBruijnDigraph(4, 5)};
+  const auto ctx = core::InstanceContext::make(4, 5);
   const unsigned f = static_cast<unsigned>(state.range(0));
   std::uint64_t s = 0;
   for (auto _ : state) {
-    const auto row = fault_sweep_row(solver, f, 10, 11 + ++s);
+    const auto row = fault_sweep_row(*ctx, f, 10, 11 + ++s);
     benchmark::DoNotOptimize(row.avg_size);
   }
 }

@@ -48,13 +48,14 @@ void print_tables() {
     TextTable t({"d", "budget f", "successes", "trials"});
     Rng rng(seed());
     for (std::uint64_t d : {3ull, 4ull, 5ull, 6ull, 8ull, 9ull, 12ull, 13ull, 15ull}) {
-      const WordSpace ws(static_cast<Digit>(d), 2);
+      const auto ctx = core::InstanceContext::make(static_cast<Digit>(d), 2);
+      const WordSpace& ws = ctx->words();
       const unsigned budget = static_cast<unsigned>(core::max_tolerable_edge_faults(d));
       unsigned ok = 0;
       const unsigned tries = 20;
       for (unsigned trial = 0; trial < tries; ++trial) {
         const auto faults = random_nonloop_edges(ws, budget, rng);
-        const auto hc = core::fault_free_hamiltonian_cycle(d, 2, faults);
+        const auto hc = core::solve_edge_auto(*ctx, faults);
         if (hc.has_value() && is_hamiltonian(ws, *hc) && avoids_edges(ws, *hc, faults)) {
           ++ok;
         }
@@ -67,12 +68,12 @@ void print_tables() {
 
 void BM_FaultFreeHcAtBudget(benchmark::State& state) {
   const std::uint64_t d = static_cast<std::uint64_t>(state.range(0));
-  const WordSpace ws(static_cast<Digit>(d), 2);
+  const auto ctx = core::InstanceContext::make(static_cast<Digit>(d), 2);
   Rng rng(1);
   const auto faults = random_nonloop_edges(
-      ws, static_cast<unsigned>(core::max_tolerable_edge_faults(d)), rng);
+      ctx->words(), static_cast<unsigned>(core::max_tolerable_edge_faults(d)), rng);
   for (auto _ : state) {
-    auto hc = core::fault_free_hamiltonian_cycle(d, 2, faults);
+    auto hc = core::solve_edge_auto(*ctx, faults);
     benchmark::DoNotOptimize(hc.has_value());
   }
 }

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   using namespace dbr;
   const Digit d = argc > 1 ? static_cast<Digit>(std::atoi(argv[1])) : 3;
   const unsigned n = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
-  const ButterflyDigraph bf(d, n);
+  const auto ctx = core::InstanceContext::make(d, n);
+  const ButterflyDigraph& bf = ctx->butterfly();
 
   std::cout << "F(" << unsigned(d) << "," << n << "): " << bf.num_nodes()
             << " nodes (" << n << " levels x " << bf.columns().size()
@@ -37,11 +38,14 @@ int main(int argc, char** argv) {
   Rng rng(11);
   const auto edges = bf.materialize().edge_list();
   std::vector<std::pair<NodeId, NodeId>> faults;
+  std::vector<Word> pulled_back;  // the De Bruijn edges they lift from
   for (auto idx : rng.sample_distinct(edges.size(), budget)) {
     faults.push_back(edges[idx]);
+    pulled_back.push_back(
+        butterfly::pull_back_edge(bf, edges[idx].first, edges[idx].second));
   }
   std::cout << "\nkilling " << faults.size() << " butterfly links\n";
-  const auto ring = core::butterfly_fault_free_hc(bf, faults);
+  const auto ring = core::solve_butterfly(*ctx, pulled_back);
   if (!ring.has_value()) {
     std::cout << "no fault-free ring found\n";
     return 1;

@@ -38,10 +38,10 @@ int main() {
             << " processors):\n  " << to_string(ws, result.cycle) << "\n\n";
 
   // Cross-check against the centralized solver.
-  const core::FfcSolver central(graph);
+  const auto ctx = core::InstanceContext::make(3, 3);
   core::FfcOptions opts;
   opts.root = 0;
-  const bool identical = central.solve(faults, opts).cycle == result.cycle;
+  const bool identical = core::solve_ffc(*ctx, faults, opts).cycle == result.cycle;
   std::cout << "matches the centralized FFC solver: " << (identical ? "YES" : "NO")
             << "\n";
   return identical ? 0 : 1;

@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   using namespace dbr;
   const std::uint64_t d = argc > 1 ? static_cast<std::uint64_t>(std::atoi(argv[1])) : 4;
   const unsigned n = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 3;
-  const WordSpace ws(static_cast<Digit>(d), n);
+  const auto ctx = core::InstanceContext::make(static_cast<Digit>(d), n);
+  const WordSpace& ws = ctx->words();
 
   std::cout << "B(" << d << "," << n << "): psi(" << d << ") = " << core::psi(d)
             << " edge-disjoint Hamiltonian rings guaranteed; tolerates "
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  const auto ring = core::fault_free_hamiltonian_cycle(d, n, faults);
+  const auto ring = core::solve_edge_auto(*ctx, faults);
   if (!ring.has_value()) {
     std::cout << "no fault-free Hamiltonian ring found (beyond guarantee?)\n";
     return 1;

@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
   const unsigned n = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 10;
   const unsigned f = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 3;
 
-  const core::FfcSolver solver{DeBruijnDigraph(d, n)};
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = core::InstanceContext::make(d, n);
+  const WordSpace& ws = ctx->words();
   std::cout << "B(" << unsigned(d) << "," << n << "): " << ws.size()
-            << " processors, " << solver.graph().num_edges() << " links\n";
+            << " processors, " << DeBruijnDigraph(ws).num_edges() << " links\n";
 
   // Fail f random processors (the algorithm is not told which ones - it
   // removes their whole necklaces, per the Chapter 2 fault model).
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   for (Word v : faults) std::cout << " " << ws.to_string(v);
   std::cout << "\n";
 
-  const core::FfcResult result = solver.solve(faults);
+  const core::FfcResult result = core::solve_ffc(*ctx, faults);
   std::cout << "fault-free ring length: " << result.cycle.length() << " (>= "
             << ws.size() - n * f << " guaranteed when f <= d-2)\n"
             << "nodes lost to faulty necklaces: " << result.faulty_node_count << "\n"

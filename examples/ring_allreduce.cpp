@@ -21,13 +21,13 @@ int main(int argc, char** argv) {
   using namespace dbr;
   const unsigned f = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 4;
 
-  const core::FfcSolver solver{DeBruijnDigraph(2, 8)};
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = core::InstanceContext::make(2, 8);
+  const WordSpace& ws = ctx->words();
   Rng rng(99);
   const auto faults = rng.sample_distinct(ws.size(), f);
 
   std::cout << "B(2,8): 256 processors, " << f << " failed\n";
-  const auto result = solver.solve(faults);
+  const auto result = core::solve_ffc(*ctx, faults);
   const auto& ring = result.cycle.nodes;
   std::cout << "fault-free ring: " << ring.size() << " processors\n";
 

@@ -41,6 +41,12 @@ strategy-dispatch
     `case Strategy::` label may appear anywhere else under src/. src/verify/
     is exempt, because the oracle keeps its own independent table.
 
+context-backed-core
+    Every construction in src/core/ takes `const InstanceContext&`: no
+    `InstanceContext*` parameter, member or local may appear there, so a
+    nullable context (and the context-less second solve path it exists to
+    serve) cannot come back.
+
 Suppressions
 ------------
 A violation is suppressed by a `// lint:allow(<rule>): <reason>` comment
@@ -99,6 +105,10 @@ HEAP_CONTAINER_RE = re.compile(
 # The one module allowed to switch on Strategy (src/verify/ is exempt too).
 STRATEGY_MODULE = ("src/service/strategy.hpp", "src/service/strategy.cpp")
 STRATEGY_CASE_RE = re.compile(r"\bcase\s+(?:[\w:]+::)?Strategy\s*::")
+
+# src/core/ takes its instance context by reference only.
+CORE_DIR = "/src/core/"
+CONTEXT_POINTER_RE = re.compile(r"\bInstanceContext\s*(?:const\s*)?\*")
 
 READ_GUARD_RE = re.compile(
     r"\bReadGuard\s+\w+\s*[({]\s*([^;(){}]+?)\s*[)}]\s*;"
@@ -437,6 +447,27 @@ def check_strategy_dispatch(f: SourceFile) -> list[Violation]:
     return out
 
 
+def check_context_backed_core(f: SourceFile) -> list[Violation]:
+    if CORE_DIR not in "/" + f.lint_path.replace("\\", "/"):
+        return []
+    out = []
+    for lineno, line in enumerate(f.code_lines, start=1):
+        for m in CONTEXT_POINTER_RE.finditer(line):
+            if f.allowed("context-backed-core", lineno):
+                continue
+            out.append(
+                Violation(
+                    f.lint_path,
+                    lineno,
+                    "context-backed-core",
+                    f"'{m.group(0).strip()}' in src/core: take the instance "
+                    "context as 'const InstanceContext&' (a nullable context "
+                    "means a second, context-less solve path)",
+                )
+            )
+    return out
+
+
 CHECKS = [
     check_rcu_publish_under_guard,
     check_hot_path_heap_alloc,
@@ -444,6 +475,7 @@ CHECKS = [
     check_verify_includes,
     check_bare_analysis_escape,
     check_strategy_dispatch,
+    check_context_backed_core,
 ]
 
 

@@ -18,25 +18,6 @@ void require_coprime(const ButterflyDigraph& bf) {
 
 }  // namespace
 
-std::optional<std::vector<NodeId>> butterfly_fault_free_hc(
-    const ButterflyDigraph& bf,
-    std::span<const std::pair<NodeId, NodeId>> faulty_edges) {
-  require_coprime(bf);
-  const WordSpace& ws = bf.columns();
-  // Pull every faulty butterfly edge back to its De Bruijn edge (Lemma
-  // 3.10): if the De Bruijn cycle avoids U -> V, the lift avoids all n
-  // butterfly copies of it, in particular the faulty one.
-  std::vector<Word> debruijn_faults;
-  debruijn_faults.reserve(faulty_edges.size());
-  for (const auto& [u, v] : faulty_edges) {
-    debruijn_faults.push_back(butterfly::pull_back_edge(bf, u, v));
-  }
-  const auto hc =
-      fault_free_hamiltonian_cycle(ws.radix(), ws.length(), debruijn_faults);
-  if (!hc.has_value()) return std::nullopt;
-  return butterfly::lift_cycle(bf, to_node_cycle(ws, *hc));
-}
-
 std::optional<std::vector<NodeId>> solve_butterfly(
     const InstanceContext& ctx, std::span<const Word> debruijn_faults) {
   const ButterflyDigraph& bf = ctx.butterfly();  // requires gcd(d, n) = 1

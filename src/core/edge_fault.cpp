@@ -32,48 +32,36 @@ std::pair<Word, Word> split_edge_word(Word e, unsigned n, std::uint64_t s,
   return {digits_a, digits_b};
 }
 
-std::optional<SymbolCycle> phi_construction(std::uint64_t d, unsigned n,
-                                            std::vector<Word> faults,
-                                            const InstanceContext* ctx);
-
-// Prime-power base case: f <= d - 2 is always satisfiable. With a context,
-// the GF(q) field and maximal-cycle family come precomputed; the fault scan
-// below is the only per-solve work.
-std::optional<SymbolCycle> phi_prime_power(std::uint64_t q, unsigned n,
-                                           const std::vector<Word>& faults,
-                                           const InstanceContext* ctx) {
-  std::optional<gf::Field> local_field;
-  std::optional<MaximalCycleFamily> local_family;
-  const MaximalCycleFamily* family;
-  if (ctx != nullptr) {
-    family = &ctx->maximal_family(q);
-  } else {
-    local_field.emplace(q);
-    local_family.emplace(*local_field, n);
-    family = &*local_family;
-  }
-  const WordSpace ws(static_cast<Digit>(q), n);
+// Prime-power base case: f <= d - 2 is always satisfiable. The GF(q) field
+// and maximal-cycle family come precomputed from the context; the fault
+// scan below is the only per-solve work.
+std::optional<SymbolCycle> phi_prime_power(const InstanceContext& ctx,
+                                           std::uint64_t q,
+                                           const std::vector<Word>& faults) {
+  const MaximalCycleFamily& family = ctx.maximal_family(q);
+  const WordSpace ws(static_cast<Digit>(q), ctx.words().length());
   const EdgeSet fault_set(faults.begin(), faults.end());
   for (gf::Field::Elem s = 0; s < q; ++s) {
-    const SymbolCycle shifted = family->shifted_cycle(s);
+    const SymbolCycle shifted = family.shifted_cycle(s);
     if (!avoids_edges(ws, shifted, faults)) continue;
     for (gf::Field::Elem alpha = 0; alpha < q; ++alpha) {
       if (alpha == s) continue;
-      const auto [e1, e2] = family->insertion_pair(s, alpha);
+      const auto [e1, e2] = family.insertion_pair(s, alpha);
       if (fault_set.contains(e1) || fault_set.contains(e2)) continue;
-      return family->hamiltonian_cycle_at(s, alpha);
+      return family.hamiltonian_cycle_at(s, alpha);
     }
   }
   return std::nullopt;
 }
 
-std::optional<SymbolCycle> phi_construction(std::uint64_t d, unsigned n,
-                                            std::vector<Word> faults,
-                                            const InstanceContext* ctx) {
+std::optional<SymbolCycle> phi_construction(const InstanceContext& ctx,
+                                            std::uint64_t d,
+                                            std::vector<Word> faults) {
   const auto pf = nt::factor(d);
-  if (pf.size() == 1) return phi_prime_power(d, n, faults, ctx);
+  if (pf.size() == 1) return phi_prime_power(ctx, d, faults);
   // d = s * t with t the largest prime-power factor; split the faults so
   // that each side stays within its own phi budget.
+  const unsigned n = ctx.words().length();
   const std::uint64_t t = pf.back().value();
   const std::uint64_t s = d / t;
   const std::uint64_t budget_s = phi_edge_bound(s);
@@ -88,87 +76,26 @@ std::optional<SymbolCycle> phi_construction(std::uint64_t d, unsigned n,
   }
   // Every prime-power leaf of the recursion is a full prime-power factor of
   // the original base, so the context's family map covers both branches.
-  const auto a = phi_construction(s, n, std::move(faults_a), ctx);
+  const auto a = phi_construction(ctx, s, std::move(faults_a));
   if (!a.has_value()) return std::nullopt;
-  const auto b = phi_construction(t, n, std::move(faults_b), ctx);
+  const auto b = phi_construction(ctx, t, std::move(faults_b));
   if (!b.has_value()) return std::nullopt;
   return rees_compose(*a, *b, t);
 }
 
-void require_fault_words(const WordSpace& ws,
-                         std::span<const Word> faulty_edge_words) {
+void require_edge_instance(const InstanceContext& ctx,
+                           std::span<const Word> faulty_edge_words) {
+  require(ctx.supports_edge_faults(), "requires d >= 2 and n >= 2");
   for (Word e : faulty_edge_words) {
-    require(e < ws.edge_word_count(), "faulty edge word out of range");
+    require(e < ctx.words().edge_word_count(), "faulty edge word out of range");
   }
-}
-
-std::optional<SymbolCycle> phi_entry(std::uint64_t d, unsigned n,
-                                     std::span<const Word> faulty_edge_words,
-                                     const InstanceContext* ctx) {
-  require(d >= 2 && n >= 2, "requires d >= 2 and n >= 2");
-  std::optional<WordSpace> local_ws;
-  const WordSpace& ws = ctx != nullptr
-                            ? ctx->words()
-                            : local_ws.emplace(static_cast<Digit>(d), n);
-  require_fault_words(ws, faulty_edge_words);
-  std::vector<Word> faults(faulty_edge_words.begin(), faulty_edge_words.end());
-  std::sort(faults.begin(), faults.end());
-  faults.erase(std::unique(faults.begin(), faults.end()), faults.end());
-  auto result = phi_construction(d, n, std::move(faults), ctx);
-  if (result.has_value() &&
-      !avoids_edges(ws, *result, faulty_edge_words)) {
-    return std::nullopt;  // over-budget split landed a fault on both sides
-  }
-  return result;
-}
-
-std::optional<SymbolCycle> auto_dispatch(
-    std::uint64_t d, unsigned n, std::span<const Word> faulty_edge_words,
-    const InstanceContext* ctx) {
-  // Proposition 3.4: take whichever construction covers more faults; try
-  // the cheaper guarantee first, then fall back to the other.
-  const auto scan = [&] {
-    return ctx != nullptr ? solve_edge_scan(*ctx, faulty_edge_words)
-                          : fault_free_hc_family_scan(d, n, faulty_edge_words);
-  };
-  const std::uint64_t f = faulty_edge_words.size();
-  if (f + 1 <= psi(d)) {
-    auto viaFamily = scan();
-    if (viaFamily.has_value()) return viaFamily;
-  }
-  auto viaPhi = phi_entry(d, n, faulty_edge_words, ctx);
-  if (viaPhi.has_value()) return viaPhi;
-  return scan();
 }
 
 }  // namespace
 
-std::optional<SymbolCycle> fault_free_hc_phi_construction(
-    std::uint64_t d, unsigned n, std::span<const Word> faulty_edge_words) {
-  return phi_entry(d, n, faulty_edge_words, nullptr);
-}
-
-std::optional<SymbolCycle> fault_free_hc_family_scan(
-    std::uint64_t d, unsigned n, std::span<const Word> faulty_edge_words) {
-  require(d >= 2 && n >= 2, "requires d >= 2 and n >= 2");
-  const WordSpace ws(static_cast<Digit>(d), n);
-  require_fault_words(ws, faulty_edge_words);
-  for (const SymbolCycle& hc : disjoint_hamiltonian_cycles(d, n)) {
-    if (avoids_edges(ws, hc, faulty_edge_words)) return hc;
-  }
-  return std::nullopt;
-}
-
-std::optional<SymbolCycle> fault_free_hamiltonian_cycle(
-    std::uint64_t d, unsigned n, std::span<const Word> faulty_edge_words) {
-  require(d >= 2 && n >= 2, "requires d >= 2 and n >= 2");
-  return auto_dispatch(d, n, faulty_edge_words, nullptr);
-}
-
 std::optional<SymbolCycle> solve_edge_scan(
     const InstanceContext& ctx, std::span<const Word> faulty_edge_words) {
-  require(ctx.supports_edge_faults(), "requires d >= 2 and n >= 2");
-  require_fault_words(ctx.words(), faulty_edge_words);
+  require_edge_instance(ctx, faulty_edge_words);
   const PsiFamilyIndex& family = ctx.psi_family();
   const auto idx = family.first_avoiding(faulty_edge_words);
   if (!idx.has_value()) return std::nullopt;
@@ -177,14 +104,30 @@ std::optional<SymbolCycle> solve_edge_scan(
 
 std::optional<SymbolCycle> solve_edge_phi(
     const InstanceContext& ctx, std::span<const Word> faulty_edge_words) {
-  return phi_entry(ctx.base(), ctx.words().length(), faulty_edge_words, &ctx);
+  require_edge_instance(ctx, faulty_edge_words);
+  std::vector<Word> faults(faulty_edge_words.begin(), faulty_edge_words.end());
+  std::sort(faults.begin(), faults.end());
+  faults.erase(std::unique(faults.begin(), faults.end()), faults.end());
+  auto result = phi_construction(ctx, ctx.base(), std::move(faults));
+  if (result.has_value() &&
+      !avoids_edges(ctx.words(), *result, faulty_edge_words)) {
+    return std::nullopt;  // over-budget split landed a fault on both sides
+  }
+  return result;
 }
 
 std::optional<SymbolCycle> solve_edge_auto(
     const InstanceContext& ctx, std::span<const Word> faulty_edge_words) {
-  require(ctx.words().length() >= 2, "requires d >= 2 and n >= 2");
-  return auto_dispatch(ctx.base(), ctx.words().length(), faulty_edge_words,
-                       &ctx);
+  // Proposition 3.4: take whichever construction covers more faults; try
+  // the cheaper guarantee first, then fall back to the other.
+  const std::uint64_t f = faulty_edge_words.size();
+  if (f + 1 <= psi(ctx.base())) {
+    auto via_family = solve_edge_scan(ctx, faulty_edge_words);
+    if (via_family.has_value()) return via_family;
+  }
+  auto via_phi = solve_edge_phi(ctx, faulty_edge_words);
+  if (via_phi.has_value()) return via_phi;
+  return solve_edge_scan(ctx, faulty_edge_words);
 }
 
 }  // namespace dbr::core

@@ -10,18 +10,6 @@ namespace dbr::core {
 
 namespace {
 
-/// Implicit reversal of B(d,n): successors become shift_prepend moves.
-struct ReverseDeBruijn {
-  const DeBruijnDigraph* g;
-
-  NodeId num_nodes() const { return g->num_nodes(); }
-
-  template <typename Fn>
-  void for_each_successor(NodeId v, Fn&& fn) const {
-    for (Digit a = 0; a < g->radix(); ++a) fn(g->words().shift_prepend(v, a));
-  }
-};
-
 /// The per-node successor base of the De Bruijn shift rule,
 /// (u % suffix_count) * d == (u * d) % size, with the modulo
 /// strength-reduced to a mask when d^n is a power of two (every d = 2^k
@@ -49,255 +37,17 @@ struct SuccBase {
   Word pred_base(Word u) const { return pow2 ? u >> shift : u / d; }
 };
 
-}  // namespace
-
-FfcSolver::FfcSolver(DeBruijnDigraph graph) : graph_(std::move(graph)) {}
-
-FfcSolver::FfcSolver(const InstanceContext& ctx)
-    : graph_(ctx.graph()), necklaces_(&ctx.necklaces()), ctx_(&ctx) {}
-
-std::vector<bool> FfcSolver::active_mask(std::span<const Word> faulty_nodes) const {
-  const WordSpace& ws = graph_.words();
-  std::vector<bool> active(ws.size(), true);
-  for (Word rep : necklace_reps_of(ws, faulty_nodes)) {
-    for (Word v : necklace_nodes(ws, rep)) active[v] = false;
-  }
-  return active;
-}
-
-std::vector<bool> FfcSolver::component_of(const std::vector<bool>& active,
-                                          Word root) const {
-  require(root < graph_.num_nodes(), "root out of range");
-  require(active[root], "root must be a nonfaulty node");
-  const SubgraphView<DeBruijnDigraph> fwd(graph_, active);
-  const auto forward = bfs(fwd, root, [&](NodeId v) { return active[v]; });
-  const ReverseDeBruijn rev{&graph_};
-  const SubgraphView<ReverseDeBruijn> bwd(rev, active);
-  const auto backward = bfs(bwd, root, [&](NodeId v) { return active[v]; });
-  std::vector<bool> comp(graph_.num_nodes(), false);
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-    comp[v] = forward.dist[v] != kUnreached && backward.dist[v] != kUnreached;
-  }
-  return comp;
-}
-
-std::pair<Word, std::uint64_t> FfcSolver::largest_component_root(
-    const std::vector<bool>& active) const {
-  require(active.size() == graph_.num_nodes(), "active mask size mismatch");
-  const SubgraphView<DeBruijnDigraph> view(graph_, active);
-  const auto scc = strongly_connected_components(view);
-  std::vector<std::uint64_t> size(scc.count, 0);
-  std::vector<Word> min_node(scc.count, kNoParent);
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-    if (!active[v]) continue;
-    const auto c = scc.component[v];
-    ++size[c];
-    if (min_node[c] == kNoParent) min_node[c] = v;  // ascending scan
-  }
-  Word best_root = kNoParent;
-  std::uint64_t best_size = 0;
-  for (std::uint64_t c = 0; c < scc.count; ++c) {
-    if (min_node[c] == kNoParent) continue;
-    if (size[c] > best_size ||
-        (size[c] == best_size && min_node[c] < best_root)) {
-      best_size = size[c];
-      best_root = min_node[c];
-    }
-  }
-  require(best_root != kNoParent, "all nodes are faulty");
-  return {best_root, best_size};
-}
-
-NecklaceAdjacency FfcSolver::necklace_adjacency(const std::vector<bool>& active) const {
-  const WordSpace& ws = graph_.words();
-  require(active.size() == ws.size(), "active mask size mismatch");
-  NecklaceAdjacency out;
-  if (necklaces_ != nullptr) {
-    // The context already stores every representative in ascending order;
-    // filtering it by the mask yields exactly the set the full scan would
-    // ({x : active[x] and min_rot(x) == x} == {rep : active[rep]}) without
-    // rescanning all d^n words.
-    for (Word rep : necklaces_->reps) {
-      if (active[rep]) out.reps.push_back(rep);
-    }
-  } else {
-    for (Word x = 0; x < ws.size(); ++x) {
-      if (active[x] && min_rot(x) == x) out.reps.push_back(x);
-    }
-  }
-  // For every (n-1)-digit value w, the active nodes of the form a.w sit in
-  // pairwise-distinct necklaces; each unordered pair yields two antiparallel
-  // w-labeled edges.
-  const Word suffix_count = ws.size() / ws.radix();
-  std::vector<Word> reps_for_w;
-  for (Word w = 0; w < suffix_count; ++w) {
-    reps_for_w.clear();
-    for (Digit a = 0; a < ws.radix(); ++a) {
-      const Word node = ws.compose_prefix(a, w);
-      if (active[node]) reps_for_w.push_back(min_rot(node));
-    }
-    std::sort(reps_for_w.begin(), reps_for_w.end());
-    ensure(std::adjacent_find(reps_for_w.begin(), reps_for_w.end()) ==
-               reps_for_w.end(),
-           "a.w and b.w cannot share a necklace (Section 2.2)");
-    for (std::size_t i = 0; i < reps_for_w.size(); ++i) {
-      for (std::size_t j = 0; j < reps_for_w.size(); ++j) {
-        if (i != j) out.edges.push_back({reps_for_w[i], reps_for_w[j], w});
-      }
-    }
-  }
-  std::sort(out.edges.begin(), out.edges.end());
-  return out;
-}
-
-FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
-                           const FfcOptions& options) const {
-  const WordSpace& ws = graph_.words();
-  FfcResult result;
-  result.faulty_necklace_reps = necklace_reps_of(ws, faulty_nodes);
-  result.faulty_node_count = necklace_node_count(ws, result.faulty_necklace_reps);
-  const std::vector<bool> active = active_mask(faulty_nodes);
-
-  // --- Choose the distinguished node R and its component B*. ---
-  Word root;
-  if (options.root.has_value()) {
-    require(*options.root < ws.size(), "root out of range");
-    require(active[*options.root], "requested root lies on a faulty necklace");
-    root = min_rot(*options.root);  // ensure N(R) == [R]
-  } else {
-    root = largest_component_root(active).first;
-  }
-  const std::vector<bool> comp = component_of(active, root);
-  ensure(comp[root], "root must belong to its own component");
-  result.root = root;
-
-  // --- Step 1.1: broadcast tree T' (BFS with min-predecessor tie-break). ---
-  const SubgraphView<DeBruijnDigraph> view(graph_, comp);
-  const auto tree = bfs(view, root, [&](NodeId v) { return comp[v]; });
-
-  // --- Necklaces of B* and their leaders. ---
-  std::uint64_t comp_size = 0;
-  std::vector<Word> comp_reps;
-  for (Word x = 0; x < ws.size(); ++x) {
-    if (!comp[x]) continue;
-    ++comp_size;
-    ensure(tree.dist[x] != kUnreached,
-           "broadcast must reach every node of the strongly connected B*");
-    if (min_rot(x) == x) comp_reps.push_back(x);
-  }
-  result.bstar_size = comp_size;
-  result.root_eccentricity = tree.eccentricity();
-  result.necklace_count = comp_reps.size();
-  const Word root_rep = min_rot(root);
-  ensure(root_rep == root, "root is canonical by construction");
-
-  // --- Step 1.2: spanning tree T of N*. For each necklace choose the leader
-  // Y (first node to receive M; ties toward the smaller id); the tree edge
-  // enters at Y with label w = first n-1 digits of Y, from the necklace of
-  // Y's broadcast parent. ---
-  for (Word rep : comp_reps) {
-    if (rep == root_rep) continue;
-    Word leader = kNoParent;
-    std::uint32_t best_dist = kUnreached;
-    for (Word v : necklace_nodes(ws, rep)) {
-      if (tree.dist[v] < best_dist ||
-          (tree.dist[v] == best_dist && v < leader)) {
-        best_dist = tree.dist[v];
-        leader = v;
-      }
-    }
-    ensure(leader != kNoParent, "every component necklace has a leader");
-    const Word parent = tree.parent[leader];
-    ensure(parent != kNoParent, "non-root leader must have a broadcast parent");
-    const Word parent_rep = min_rot(parent);
-    ensure(parent_rep != rep, "leader's parent lies in a different necklace");
-    result.tree_edges.push_back({parent_rep, rep, ws.prefix(leader)});
-  }
-  std::sort(result.tree_edges.begin(), result.tree_edges.end());
-
-  // --- Step 2: modify each label class T_w (a height-one star) into a
-  // cycle ordered by necklace representative with wrap-around. ---
-  std::unordered_map<Word, std::vector<Word>> members_by_label;
-  std::unordered_map<Word, Word> parent_by_label;
-  for (const LabeledEdge& e : result.tree_edges) {
-    auto [it, inserted] = parent_by_label.try_emplace(e.label, e.from);
-    ensure(it->second == e.from,
-           "T_w must have a common parent (height-one property, Step 1.2)");
-    members_by_label[e.label].push_back(e.to);
-  }
-  for (auto& [label, members] : members_by_label) {
-    members.push_back(parent_by_label.at(label));
-    std::sort(members.begin(), members.end());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      result.modified_edges.push_back(
-          {members[i], members[(i + 1) % members.size()], label});
-    }
-  }
-  std::sort(result.modified_edges.begin(), result.modified_edges.end());
-
-  // --- Step 3: successor rule. A D-edge ([x] --w--> [y]) reroutes the exit
-  // node of [x] with suffix w to the entry node of [y] with prefix w; all
-  // other nodes follow their necklace successor. ---
-  std::unordered_map<Word, Word> reroute;  // exit node -> entry node
-  for (const LabeledEdge& e : result.modified_edges) {
-    Word exit_node = kNoParent, entry_node = kNoParent;
-    for (Word v : necklace_nodes(ws, e.from)) {
-      if (ws.suffix(v) == e.label) {
-        ensure(exit_node == kNoParent, "exit node is unique per label");
-        exit_node = v;
-      }
-    }
-    for (Word v : necklace_nodes(ws, e.to)) {
-      if (ws.prefix(v) == e.label) {
-        ensure(entry_node == kNoParent, "entry node is unique per label");
-        entry_node = v;
-      }
-    }
-    ensure(exit_node != kNoParent && entry_node != kNoParent,
-           "both endpoints of a D-edge expose the label");
-    const bool inserted = reroute.emplace(exit_node, entry_node).second;
-    ensure(inserted, "each node is rerouted by at most one D-edge");
-  }
-
-  // --- Walk H from the root. ---
-  result.cycle.nodes.reserve(comp_size);
-  std::vector<bool> visited(ws.size(), false);
-  Word cur = root;
-  for (std::uint64_t step = 0; step < comp_size; ++step) {
-    ensure(comp[cur] && !visited[cur], "H must stay in B* and not revisit");
-    visited[cur] = true;
-    result.cycle.nodes.push_back(cur);
-    const auto it = reroute.find(cur);
-    cur = it != reroute.end() ? it->second : ws.rotate_left(cur, 1);
-  }
-  ensure(cur == root, "H must close after |B*| steps (Proposition 2.1)");
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Arena solve: the same FFC algorithm expressed against a reusable
-// SolveScratch and the context's precomputed label-merge tables. Bit
-// identity with the reference solve() above rests on the order-independence
-// of every tie-break: BFS parents are the *minimum* distance-(d-1)
-// predecessor, the distinguished component maximizes (size, -min_node), and
-// Steps 1.2/2 pick minima over whole member slices — so the work can be
-// reorganized (one SCC pass instead of SCC + two reachability BFS, flat
-// epoch-stamped tables instead of unordered_maps, CSR slices instead of
-// freshly built necklace lists) without changing a single output byte. The
-// fuzz suite (test_solve_arena) enforces the claim across the scenario
-// corpus.
-
-std::pair<Word, std::uint64_t> FfcSolver::largest_component_arena(
-    SolveScratch& s) const {
-  const WordSpace& ws = graph_.words();
+/// Smallest node of the largest strongly connected component of the active
+/// subgraph (ties toward the smaller minimum node); leaves the Tarjan
+/// component labels in s.scc_comp.
+Word largest_component_arena(const WordSpace& ws, SolveScratch& s) {
   const Word size = ws.size();
   const Digit d = ws.radix();
   const SuccBase succ(ws);
 
   // Masked iterative Tarjan over the De Bruijn successor rule: the succs of
   // v are suffix(v) * d + a, generated digit by digit, so no per-frame
-  // successor vector is ever materialized (the reference's dominant
-  // allocation cost).
+  // successor vector is ever materialized.
   s.scc_index.assign(size, kNoWord);
   s.scc_low.resize(size);
   s.scc_comp.resize(size);
@@ -346,8 +96,8 @@ std::pair<Word, std::uint64_t> FfcSolver::largest_component_arena(
     }
   }
 
-  // Same selection rule as the reference: maximize size, ties toward the
-  // smaller minimum node (an ascending scan, so minima fill in order).
+  // Maximize size, ties toward the smaller minimum node (an ascending scan,
+  // so minima fill in order).
   s.comp_size.assign(component_count, 0);
   s.comp_min.assign(component_count, kNoWord);
   for (Word v = 0; v < size; ++v) {
@@ -367,16 +117,25 @@ std::pair<Word, std::uint64_t> FfcSolver::largest_component_arena(
     }
   }
   require(best_root != kNoWord, "all nodes are faulty");
-  return {best_root, best_size};
+  return best_root;
 }
 
-FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
-                           SolveScratch& s, const FfcOptions& options) const {
-  require(ctx_ != nullptr,
-          "the arena solve requires a context-backed FfcSolver");
-  const WordSpace& ws = graph_.words();
-  const NecklaceTable& nt = *necklaces_;
-  const LabelMergeTable& lm = ctx_->label_merge();
+}  // namespace
+
+// The FFC algorithm against a reusable SolveScratch and the context's
+// precomputed label-merge tables. Every tie-break is order-independent: BFS
+// parents are the *minimum* distance-(d-1) predecessor, the distinguished
+// component maximizes (size, -min_node), and Steps 1.2/2 pick minima over
+// whole member slices. So the work is organized for speed (one SCC pass,
+// skipped entirely when the active graph is strongly connected; flat
+// epoch-stamped tables; CSR slices) while the result stays that of the
+// plain algorithm, which bench/ffc_reference.hpp spells out and
+// test_solve_arena holds field for field across the scenario corpus.
+FfcResult solve_ffc(const InstanceContext& ctx, std::span<const Word> faulty_nodes,
+                    SolveScratch& s, const FfcOptions& options) {
+  const WordSpace& ws = ctx.words();
+  const NecklaceTable& nt = ctx.necklaces();
+  const LabelMergeTable& lm = ctx.label_merge();
   const Word size = ws.size();
   const Digit d = ws.radix();
   const Word suffix_count = size / d;
@@ -408,8 +167,8 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   result.faulty_node_count = removed;
 
   // --- Choose the distinguished node R and its component B*. ---
-  // component_of(active, root) is exactly the SCC of root, so the rootless
-  // path reuses the Tarjan labels instead of two more reachability passes.
+  // B* is the SCC of R within the active subgraph: forward reach intersected
+  // with backward reach for an explicit root, the Tarjan labels otherwise.
 
   // Step 1.1's broadcast BFS (min-predecessor tie-break) over an explicit
   // node mask, so the strong-connectivity fast path below can run it over
@@ -500,9 +259,8 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
     // overwhelmingly common case under few faults — B* is all of it and R
     // is its smallest active node, so the Tarjan pass is skipped entirely.
     // Established by the Step-1.1 broadcast from that node (reused below)
-    // plus one backward reachability sweep. Selection is bit-identical to
-    // the reference: the single SCC is trivially the largest, and its
-    // minimum node is the same root the reference's scan picks.
+    // plus one backward reachability sweep. The selection is unchanged: the
+    // single SCC is trivially the largest, and R is its minimum node.
     Word first_active = kNoWord;
     for (Word v = 0; v < size; ++v) {
       if (s.active.test(v)) {
@@ -542,7 +300,7 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
       }
     }
     if (!broadcast_done) {
-      root = largest_component_arena(s).first;
+      root = largest_component_arena(ws, s);
       const Word root_comp = s.scc_comp[root];
       s.comp.assign(size, false);
       for (Word v = 0; v < size; ++v) {
@@ -565,12 +323,13 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   ensure(root_rep == root, "root is canonical by construction");
 
   // --- Step 1.2: spanning tree T of N*: per component necklace, the leader
-  // is the member minimizing (broadcast round, id) over its CSR slice. ---
+  // is the member minimizing (broadcast round, id) over its CSR slice. T
+  // has one edge per non-root necklace of B*, so it is sized up front. ---
   result.necklace_count = 0;
+  for (Word rep : nt.reps) result.necklace_count += s.comp.test(rep) ? 1 : 0;
+  result.tree_edges.reserve(result.necklace_count - 1);
   for (Word rep : nt.reps) {
-    if (!s.comp.test(rep)) continue;
-    ++result.necklace_count;
-    if (rep == root_rep) continue;
+    if (!s.comp.test(rep) || rep == root_rep) continue;
     const std::uint32_t i = lm.necklace_index[rep];
     Word leader = kNoWord;
     std::uint32_t best_dist = kUnreached;
@@ -590,21 +349,24 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   }
   std::sort(result.tree_edges.begin(), result.tree_edges.end());
 
-  // --- Step 2: modify each label class T_w into a cycle. The flat
-  // parent-per-label table and one (label, child) sort replace the
-  // reference's two unordered_maps. ---
+  // --- Step 2: modify each label class T_w into a cycle, via a flat
+  // parent-per-label table and one (label, child) sort. A class of k tree
+  // edges becomes a cycle of k + 1 D-edges. ---
   s.parent_by_label.begin(suffix_count);
   s.label_pairs.clear();
+  std::size_t label_classes = 0;
   for (const LabeledEdge& e : result.tree_edges) {
     if (s.parent_by_label.contains(e.label)) {
       ensure(s.parent_by_label.get(e.label) == e.from,
              "T_w must have a common parent (height-one property, Step 1.2)");
     } else {
       s.parent_by_label.put(e.label, e.from);
+      ++label_classes;
     }
     s.label_pairs.emplace_back(e.label, e.to);
   }
   std::sort(s.label_pairs.begin(), s.label_pairs.end());
+  result.modified_edges.reserve(result.tree_edges.size() + label_classes);
   for (std::size_t i = 0; i < s.label_pairs.size();) {
     const Word label = s.label_pairs[i].first;
     s.members_tmp.clear();
@@ -656,11 +418,6 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
 FfcResult solve_ffc(const InstanceContext& ctx, std::span<const Word> faulty_nodes,
                     const FfcOptions& options) {
   return solve_ffc(ctx, faulty_nodes, solve_scratch_tls(), options);
-}
-
-FfcResult solve_ffc(const InstanceContext& ctx, std::span<const Word> faulty_nodes,
-                    SolveScratch& scratch, const FfcOptions& options) {
-  return FfcSolver(ctx).solve(faulty_nodes, scratch, options);
 }
 
 std::pair<std::uint64_t, std::uint64_t> ffc_cycle_length_bounds(

@@ -41,7 +41,7 @@ std::optional<std::size_t> PsiFamilyIndex::first_avoiding(
   return std::nullopt;
 }
 
-InstanceContext::InstanceContext(Digit base, unsigned n) : graph_(base, n) {}
+InstanceContext::InstanceContext(Digit base, unsigned n) : words_(base, n) {}
 
 std::shared_ptr<const InstanceContext> InstanceContext::make(Digit base,
                                                              unsigned n) {

@@ -11,8 +11,8 @@
 #include "butterfly/butterfly.hpp"
 #include "core/disjoint_hc.hpp"
 #include "debruijn/cycle.hpp"
-#include "debruijn/debruijn.hpp"
 #include "gf/field.hpp"
+#include "util/word.hpp"
 
 namespace dbr::core {
 
@@ -93,10 +93,9 @@ class InstanceContext {
 
   static std::shared_ptr<const InstanceContext> make(Digit base, unsigned n);
 
-  Digit base() const { return graph_.radix(); }
-  unsigned tuple_length() const { return graph_.tuple_length(); }
-  const WordSpace& words() const { return graph_.words(); }
-  const DeBruijnDigraph& graph() const { return graph_; }
+  Digit base() const { return words_.radix(); }
+  unsigned tuple_length() const { return words_.length(); }
+  const WordSpace& words() const { return words_; }
 
   /// Necklace decomposition behind the Chapter-2 FFC construction.
   const NecklaceTable& necklaces() const;
@@ -126,7 +125,7 @@ class InstanceContext {
   const ButterflyDigraph& butterfly() const;
 
  private:
-  DeBruijnDigraph graph_;
+  WordSpace words_;
 
   mutable std::once_flag necklace_once_;
   mutable NecklaceTable necklace_table_;

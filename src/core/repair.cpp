@@ -64,7 +64,7 @@ class RingSplicer {
     if (ring.nodes.empty()) return false;
     for (std::size_t i = 0; i < ring.nodes.size(); ++i) {
       const Word u = ring.nodes[i];
-      const Word v = ring.nodes[(i + 1) % ring.nodes.size()];
+      const Word v = ring.nodes[i + 1 < ring.nodes.size() ? i + 1 : 0];
       if (u >= ws_.size() || v >= ws_.size()) return false;
       if (next_[u] != kAbsent || pred_[v] != kAbsent) return false;
       if (ws_.suffix(u) != ws_.prefix(v)) return false;  // not an edge

@@ -60,7 +60,7 @@ class EpochMap {
 /// public: they are internal workspaces shared by the core solvers, not a
 /// stable API surface.
 struct SolveScratch {
-  // -- bit-packed node masks (FfcSolver arena solve) --
+  // -- bit-packed node masks (solve_ffc) --
   BitVec active;    ///< nonfaulty nodes
   BitVec comp;      ///< B*: the chosen strongly connected component
   BitVec visited;   ///< final ring walk bookkeeping

@@ -3,6 +3,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dbr {
 
@@ -22,19 +23,24 @@ class invariant_error : public std::logic_error {
 /// Throws dbr::precondition_error carrying exactly `message` on failure:
 /// the text is the caller's to see (the service sends it to remote clients
 /// in kBadRequest replies), so it names the violated condition and never
-/// the source location of the check.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) throw precondition_error(message);
+/// the source location of the check. A passing check allocates nothing: the
+/// exception text is built only on failure.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] {
+    throw precondition_error(std::string(message));
+  }
 }
 
 /// Checks an internal invariant. Failure means the library itself is wrong,
 /// so the error type is distinct from precondition violations and its text
-/// starts with the source location of the failed check.
-inline void ensure(bool condition, const std::string& message,
+/// starts with the source location of the failed check. Like require, a
+/// passing check allocates nothing.
+inline void ensure(bool condition, std::string_view message,
                    std::source_location loc = std::source_location::current()) {
-  if (!condition) {
+  if (!condition) [[unlikely]] {
     throw invariant_error(std::string(loc.file_name()) + ":" +
-                          std::to_string(loc.line()) + ": " + message);
+                          std::to_string(loc.line()) + ": " +
+                          std::string(message));
   }
 }
 

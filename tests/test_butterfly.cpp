@@ -166,7 +166,8 @@ TEST_P(ButterflyHcs, DisjointFamilyLifts) {
 
 TEST_P(ButterflyHcs, FaultFreeHcUnderBudget) {
   const auto [d, n] = GetParam();
-  const ButterflyDigraph bf(d, n);
+  const auto ctx = core::InstanceContext::make(d, n);
+  const ButterflyDigraph& bf = ctx->butterfly();
   const unsigned budget = static_cast<unsigned>(core::max_tolerable_edge_faults(d));
   Rng rng(0xbf11ULL + d + n);
   const Digraph m = bf.materialize();
@@ -174,10 +175,13 @@ TEST_P(ButterflyHcs, FaultFreeHcUnderBudget) {
   for (unsigned trial = 0; trial < 10; ++trial) {
     const unsigned f = static_cast<unsigned>(rng.below(budget + 1));
     std::vector<std::pair<NodeId, NodeId>> faults;
+    std::vector<Word> pulled_back;
     for (auto idx : rng.sample_distinct(all_edges.size(), f)) {
       faults.push_back(all_edges[idx]);
+      pulled_back.push_back(butterfly::pull_back_edge(bf, all_edges[idx].first,
+                                                      all_edges[idx].second));
     }
-    const auto hc = core::butterfly_fault_free_hc(bf, faults);
+    const auto hc = core::solve_butterfly(*ctx, pulled_back);
     ASSERT_TRUE(hc.has_value()) << "d=" << unsigned(d) << " n=" << n << " f=" << f;
     EXPECT_EQ(hc->size(), bf.num_nodes());
     EXPECT_TRUE(butterfly::is_butterfly_cycle(bf, *hc));
@@ -203,7 +207,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ButterflyEmbedding, RequiresCoprimeDimensions) {
   const ButterflyDigraph bf(2, 4);  // gcd(2,4) = 2
   EXPECT_THROW((void)core::butterfly_disjoint_hcs(bf), precondition_error);
-  EXPECT_THROW((void)core::butterfly_fault_free_hc(bf, {}), precondition_error);
+  const auto ctx = core::InstanceContext::make(2, 4);
+  EXPECT_THROW((void)core::solve_butterfly(*ctx, {}), precondition_error);
 }
 
 TEST(ButterflyEmbedding, PullBackRejectsNonEdges) {

@@ -26,7 +26,7 @@ class AgreesWithCentralized : public ::testing::TestWithParam<AgreeCase> {};
 TEST_P(AgreesWithCentralized, IdenticalCycles) {
   const auto [d, n, max_faults] = GetParam();
   const DeBruijnDigraph graph(d, n);
-  const FfcSolver central(graph);
+  const auto ctx = InstanceContext::make(d, n);
   const DistributedFfcSolver dist(graph);
   const WordSpace& ws = graph.words();
   Rng rng(0xd15cULL + d * 37 + n);
@@ -41,7 +41,7 @@ TEST_P(AgreesWithCentralized, IdenticalCycles) {
     }
     FfcOptions opts;
     opts.root = root;
-    const auto want = central.solve(faults, opts);
+    const auto want = solve_ffc(*ctx, faults, opts);
     const auto got = dist.run(faults, root);
     EXPECT_EQ(got.root, want.root);
     EXPECT_EQ(got.cycle, want.cycle) << "trial " << trial << " f=" << f;
@@ -72,10 +72,10 @@ TEST(DistributedExample21, ReproducesPaperCycle) {
   const auto result = solver.run(faults, 0);
   EXPECT_EQ(result.bstar_size, 21u);
   EXPECT_TRUE(is_cycle(ws, result.cycle));
-  const FfcSolver central(graph);
+  const auto ctx = InstanceContext::make(3, 3);
   FfcOptions opts;
   opts.root = 0;
-  EXPECT_EQ(result.cycle, central.solve(faults, opts).cycle);
+  EXPECT_EQ(result.cycle, solve_ffc(*ctx, faults, opts).cycle);
 }
 
 // --------------------------------------------------------------------------

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "debruijn/cycle.hpp"
+#include "ffc_reference.hpp"
 #include "graph/longest_cycle.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -23,13 +25,13 @@ Word word_of(const WordSpace& ws, std::initializer_list<Digit> digits) {
 
 class Example21 : public ::testing::Test {
  protected:
-  Example21() : solver_(DeBruijnDigraph(3, 3)) {
-    const WordSpace& ws = solver_.graph().words();
+  Example21() : ctx_(InstanceContext::make(3, 3)) {
+    const WordSpace& ws = ctx_->words();
     faults_ = {word_of(ws, {0, 2, 0}), word_of(ws, {1, 1, 2})};
-    result_ = solver_.solve(faults_);
+    result_ = solve_ffc(*ctx_, faults_);
   }
 
-  FfcSolver solver_;
+  std::shared_ptr<const InstanceContext> ctx_;
   std::vector<Word> faults_;
   FfcResult result_;
 };
@@ -48,7 +50,7 @@ TEST_F(Example21, RootIsAllZeros) {
 TEST_F(Example21, ReproducesThePaperCycleExactly) {
   // H = (000, 001, 011, 111, 110, 101, 012, 122, 222, 221, 212,
   //      120, 201, 010, 102, 022, 220, 202, 021, 210, 100).
-  const WordSpace& ws = solver_.graph().words();
+  const WordSpace& ws = ctx_->words();
   const std::vector<std::vector<Digit>> expected{
       {0, 0, 0}, {0, 0, 1}, {0, 1, 1}, {1, 1, 1}, {1, 1, 0}, {1, 0, 1},
       {0, 1, 2}, {1, 2, 2}, {2, 2, 2}, {2, 2, 1}, {2, 1, 2}, {1, 2, 0},
@@ -62,7 +64,7 @@ TEST_F(Example21, ReproducesThePaperCycleExactly) {
 }
 
 TEST_F(Example21, CycleIsValidAndAvoidsFaultyNecklaces) {
-  const WordSpace& ws = solver_.graph().words();
+  const WordSpace& ws = ctx_->words();
   EXPECT_TRUE(is_cycle(ws, result_.cycle));
   const std::set<Word> cycle_nodes(result_.cycle.nodes.begin(),
                                    result_.cycle.nodes.end());
@@ -77,7 +79,7 @@ TEST_F(Example21, SpanningTreeMatchesFigure24a) {
   // Figure 2.4(a): [000]-00->[001]; [001]-01->{[011],[012]};
   // [011]-11->[111]; [012]-12->[122]; [122]-22->[222];
   // [001]-10->[021]; [021]-02->[022].
-  const WordSpace& ws = solver_.graph().words();
+  const WordSpace& ws = ctx_->words();
   const WordSpace label_ws(3, 2);  // labels are 2-digit values
   auto T = [&](std::initializer_list<Digit> from, std::initializer_list<Digit> to,
                std::initializer_list<Digit> label) {
@@ -96,7 +98,7 @@ TEST_F(Example21, SpanningTreeMatchesFigure24a) {
 TEST_F(Example21, ModifiedTreeIsEulerianUnderH) {
   // Lemma 2.2: the projection J of H onto D is an Eulerian circuit of D -
   // every D edge is used exactly once by the necklace-to-necklace moves.
-  const WordSpace& ws = solver_.graph().words();
+  const WordSpace& ws = ctx_->words();
   std::multiset<std::pair<Word, Word>> used;
   const auto& nodes = result_.cycle.nodes;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -114,11 +116,11 @@ TEST_F(Example21, ModifiedTreeIsEulerianUnderH) {
 }
 
 TEST_F(Example21, NecklaceAdjacencyAntiparallel) {
-  const auto active = solver_.active_mask(faults_);
-  const auto nstar = solver_.necklace_adjacency(active);
+  const auto active = ffc_reference::active_mask(*ctx_, faults_);
+  const auto nstar = ffc_reference::necklace_adjacency(*ctx_, active);
   EXPECT_EQ(nstar.reps.size(), 9u);
   // Every w-edge has an antiparallel partner with the same label.
-  const std::set<NecklaceAdjacency::Edge> edges(nstar.edges.begin(),
+  const std::set<ffc_reference::NecklaceAdjacency::Edge> edges(nstar.edges.begin(),
                                                 nstar.edges.end());
   for (const auto& e : edges) {
     EXPECT_TRUE(edges.contains({e.to, e.from, e.label}));
@@ -142,10 +144,10 @@ class NoFaults : public ::testing::TestWithParam<std::pair<Digit, unsigned>> {};
 
 TEST_P(NoFaults, ProducesHamiltonianCycle) {
   const auto [d, n] = GetParam();
-  const FfcSolver solver(DeBruijnDigraph(d, n));
-  const auto result = solver.solve({});
-  EXPECT_EQ(result.bstar_size, solver.graph().num_nodes());
-  EXPECT_TRUE(is_hamiltonian(solver.graph().words(), result.cycle));
+  const auto ctx = InstanceContext::make(d, n);
+  const auto result = solve_ffc(*ctx, {});
+  EXPECT_EQ(result.bstar_size, ctx->words().size());
+  EXPECT_TRUE(is_hamiltonian(ctx->words(), result.cycle));
   EXPECT_TRUE(result.faulty_necklace_reps.empty());
 }
 
@@ -174,15 +176,15 @@ class RandomFaults : public ::testing::TestWithParam<RandomCase> {};
 
 TEST_P(RandomFaults, CycleIsHamiltonianOnComponent) {
   const auto [d, n, max_faults] = GetParam();
-  const FfcSolver solver(DeBruijnDigraph(d, n));
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = InstanceContext::make(d, n);
+  const WordSpace& ws = ctx->words();
   Rng rng(0x5eedULL + d * 100 + n);
   for (unsigned trial = 0; trial < 40; ++trial) {
     const unsigned f = 1 + static_cast<unsigned>(rng.below(max_faults));
     const auto faults = rng.sample_distinct(ws.size(), f);
     FfcResult result;
     try {
-      result = solver.solve(faults);
+      result = solve_ffc(*ctx, faults);
     } catch (const precondition_error&) {
       // All nodes faulty (possible for tiny graphs with many faults).
       continue;
@@ -195,8 +197,8 @@ TEST_P(RandomFaults, CycleIsHamiltonianOnComponent) {
       EXPECT_FALSE(bad.contains(ws.min_rotation(v)));
     }
     // H covers the whole component of the root.
-    const auto active = solver.active_mask(faults);
-    const auto comp = solver.component_of(active, result.root);
+    const auto active = ffc_reference::active_mask(*ctx, faults);
+    const auto comp = ffc_reference::component_of(*ctx, active, result.root);
     std::uint64_t comp_size = 0;
     for (Word v = 0; v < ws.size(); ++v) comp_size += comp[v] ? 1 : 0;
     EXPECT_EQ(result.cycle.length(), comp_size);
@@ -224,13 +226,13 @@ class Prop22 : public ::testing::TestWithParam<std::pair<Digit, unsigned>> {};
 
 TEST_P(Prop22, BoundsHold) {
   const auto [d, n] = GetParam();
-  const FfcSolver solver(DeBruijnDigraph(d, n));
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = InstanceContext::make(d, n);
+  const WordSpace& ws = ctx->words();
   Rng rng(0xfeedULL + d * 10 + n);
   for (unsigned trial = 0; trial < 60; ++trial) {
     const unsigned f = static_cast<unsigned>(rng.below(d - 1));  // f <= d-2
     const auto faults = rng.sample_distinct(ws.size(), f);
-    const auto result = solver.solve(faults);
+    const auto result = solve_ffc(*ctx, faults);
     EXPECT_GE(result.cycle.length(), ws.size() - n * f)
         << "d=" << unsigned(d) << " n=" << n << " f=" << f;
     EXPECT_LE(result.root_eccentricity, 2 * n);
@@ -259,11 +261,11 @@ class Prop23 : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(Prop23, SingleFaultBinaryBound) {
   const unsigned n = GetParam();
-  const FfcSolver solver(DeBruijnDigraph(2, n));
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = InstanceContext::make(2, n);
+  const WordSpace& ws = ctx->words();
   for (Word fault = 0; fault < ws.size(); ++fault) {
     const std::vector<Word> faults{fault};
-    const auto result = solver.solve(faults);
+    const auto result = solve_ffc(*ctx, faults);
     EXPECT_GE(result.cycle.length(), ws.size() - (n + 1))
         << "fault " << ws.to_string(fault);
     EXPECT_TRUE(is_cycle(ws, result.cycle));
@@ -283,8 +285,8 @@ INSTANTIATE_TEST_SUITE_P(AllN, Prop23, ::testing::Values(3u, 4u, 5u, 6u, 7u, 8u)
 TEST(WorstCase, FfcMeetsBoundExactly) {
   for (Digit d : {3u, 4u, 5u}) {
     for (unsigned n : {2u, 3u}) {
-      const FfcSolver solver(DeBruijnDigraph(d, n));
-      const WordSpace& ws = solver.graph().words();
+      const auto ctx = InstanceContext::make(d, n);
+      const WordSpace& ws = ctx->words();
       for (unsigned f = 1; f <= d - 2; ++f) {
         std::vector<Word> faults;
         for (Digit a = 0; a < f; ++a) {
@@ -292,7 +294,7 @@ TEST(WorstCase, FfcMeetsBoundExactly) {
           x = ws.with_digit(x, n - 1, d - 1);  // a...a(d-1)
           faults.push_back(x);
         }
-        const auto result = solver.solve(faults);
+        const auto result = solve_ffc(*ctx, faults);
         EXPECT_EQ(result.cycle.length(), ws.size() - n * f)
             << "d=" << d << " n=" << n << " f=" << f;
       }
@@ -330,50 +332,51 @@ TEST(WorstCase, BruteForceConfirmsOptimality) {
 // Root selection and component semantics.
 
 TEST(Roots, ExplicitRootIsHonored) {
-  const FfcSolver solver(DeBruijnDigraph(2, 5));
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = InstanceContext::make(2, 5);
+  const WordSpace& ws = ctx->words();
   // Fault of weight 1 disconnects 0^n from the rest (Proposition 2.3 proof).
   const Word w1 = word_of(ws, {0, 0, 0, 0, 1});
   FfcOptions opts;
   opts.root = word_of(ws, {0, 1, 1, 1, 1});
-  const auto result = solver.solve(std::vector<Word>{w1}, opts);
+  const auto result = solve_ffc(*ctx, std::vector<Word>{w1}, opts);
   // Component excluding 0^n and the removed necklace: 32 - 5 - 1 = 26.
   EXPECT_EQ(result.cycle.length(), 26u);
   // 0^n alone forms the other component.
-  const auto isolated = solver.component_of(solver.active_mask(std::vector<Word>{w1}), 0);
+  const auto isolated = ffc_reference::component_of(
+      *ctx, ffc_reference::active_mask(*ctx, std::vector<Word>{w1}), 0);
   std::uint64_t size = 0;
   for (Word v = 0; v < ws.size(); ++v) size += isolated[v] ? 1 : 0;
   EXPECT_EQ(size, 1u);
 }
 
 TEST(Roots, DefaultPicksLargestComponent) {
-  const FfcSolver solver(DeBruijnDigraph(2, 5));
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = InstanceContext::make(2, 5);
+  const WordSpace& ws = ctx->words();
   const Word w1 = word_of(ws, {0, 0, 0, 0, 1});
-  const auto result = solver.solve(std::vector<Word>{w1});
+  const auto result = solve_ffc(*ctx, std::vector<Word>{w1});
   EXPECT_EQ(result.cycle.length(), 26u);
   EXPECT_NE(result.root, 0u);  // 0^n is isolated, not in the largest component
 }
 
 TEST(Roots, FaultyRootRejected) {
-  const FfcSolver solver(DeBruijnDigraph(3, 3));
+  const auto ctx = InstanceContext::make(3, 3);
   FfcOptions opts;
   opts.root = 0;
-  EXPECT_THROW((void)solver.solve(std::vector<Word>{0}, opts), precondition_error);
+  EXPECT_THROW((void)solve_ffc(*ctx, std::vector<Word>{0}, opts), precondition_error);
 }
 
 TEST(Roots, AllNodesFaultyRejected) {
-  const FfcSolver solver(DeBruijnDigraph(2, 2));
+  const auto ctx = InstanceContext::make(2, 2);
   std::vector<Word> everything{0, 1, 2, 3};
-  EXPECT_THROW((void)solver.solve(everything), precondition_error);
+  EXPECT_THROW((void)solve_ffc(*ctx, everything), precondition_error);
 }
 
 TEST(Roots, NonCanonicalRootIsCanonicalized) {
-  const FfcSolver solver(DeBruijnDigraph(3, 3));
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = InstanceContext::make(3, 3);
+  const WordSpace& ws = ctx->words();
   FfcOptions opts;
   opts.root = word_of(ws, {1, 0, 0});  // necklace rep is 001
-  const auto result = solver.solve({}, opts);
+  const auto result = solve_ffc(*ctx, {}, opts);
   EXPECT_EQ(result.root, word_of(ws, {0, 0, 1}));
 }
 
@@ -381,12 +384,12 @@ TEST(Roots, NonCanonicalRootIsCanonicalized) {
 // Structural invariants of the intermediate objects over random instances.
 
 TEST(TreeStructure, TreeSpansComponentNecklaces) {
-  const FfcSolver solver(DeBruijnDigraph(4, 4));
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = InstanceContext::make(4, 4);
+  const WordSpace& ws = ctx->words();
   Rng rng(77);
   for (unsigned trial = 0; trial < 20; ++trial) {
     const auto faults = rng.sample_distinct(ws.size(), 1 + rng.below(6));
-    const auto result = solver.solve(faults);
+    const auto result = solve_ffc(*ctx, faults);
     // Each non-root necklace appears exactly once as a tree child.
     std::map<Word, int> child_count;
     for (const auto& e : result.tree_edges) ++child_count[e.to];
@@ -408,41 +411,6 @@ TEST(TreeStructure, TreeSpansComponentNecklaces) {
                     for (const auto& e : result.tree_edges) labels.insert(e.label);
                     return labels.size();
                   }());
-  }
-}
-
-// --------------------------------------------------------------------------
-// Context-backed solver parity: the ctx path serves necklace representatives
-// straight from InstanceContext::necklaces() (no O(d^n) min-rotation rescan);
-// its adjacency output must stay byte-equal to the legacy scan's.
-
-TEST(ContextBackedSolver, NecklaceAdjacencyMatchesLegacyScan) {
-  for (const auto& [base, n] : {std::pair<Digit, unsigned>{2, 7},
-                                {3, 4},
-                                {4, 3}}) {
-    const InstanceContext ctx(base, n);
-    const FfcSolver legacy((DeBruijnDigraph(base, n)));
-    const FfcSolver backed(ctx);
-    const WordSpace& ws = ctx.words();
-    Rng rng(20260808u + base * 100 + n);
-    for (unsigned trial = 0; trial < 10; ++trial) {
-      const auto faults = rng.sample_distinct(ws.size(), rng.below(4));
-      const auto active = legacy.active_mask(faults);
-      const NecklaceAdjacency want = legacy.necklace_adjacency(active);
-      const NecklaceAdjacency got = backed.necklace_adjacency(active);
-      ASSERT_EQ(got.reps, want.reps)
-          << "B(" << base << "," << n << ") trial " << trial;
-      ASSERT_EQ(got.edges, want.edges)
-          << "B(" << base << "," << n << ") trial " << trial;
-    }
-    // Component masks (not just whole-necklace fault masks) go through the
-    // same filter: any mask closed under rotation agrees with the scan.
-    const auto active = legacy.active_mask(std::vector<Word>{1});
-    const auto comp = legacy.component_of(active, 0);
-    const NecklaceAdjacency want = legacy.necklace_adjacency(comp);
-    const NecklaceAdjacency got = backed.necklace_adjacency(comp);
-    EXPECT_EQ(got.reps, want.reps);
-    EXPECT_EQ(got.edges, want.edges);
   }
 }
 

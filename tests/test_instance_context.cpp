@@ -1,7 +1,6 @@
-// The context/solve split must be invisible in the answers: every
-// context-backed solve returns exactly what the from-scratch construction
-// returns, and the lazily built sections agree with their on-demand
-// counterparts.
+// The lazily built sections of an InstanceContext must agree with their
+// on-demand counterparts, and sections an instance does not support must
+// fail fast.
 
 #include <gtest/gtest.h>
 
@@ -9,11 +8,7 @@
 #include <optional>
 #include <vector>
 
-#include "butterfly/lift.hpp"
-#include "core/butterfly_embedding.hpp"
 #include "core/disjoint_hc.hpp"
-#include "core/edge_fault.hpp"
-#include "core/ffc.hpp"
 #include "core/instance_context.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -78,67 +73,6 @@ TEST(InstanceContextTest, PsiFamilyIndexMatchesTheSequentialScan) {
       }
       EXPECT_EQ(family.first_avoiding(faults), slow)
           << "d=" << s.d << " n=" << s.n << " f=" << f;
-    }
-  }
-}
-
-TEST(InstanceContextTest, SolveFfcMatchesTheStandaloneSolver) {
-  Rng rng(7);
-  for (const Shape s : kShapes) {
-    const InstanceContext ctx(s.d, s.n);
-    const FfcSolver standalone{DeBruijnDigraph(ctx.words())};
-    for (std::uint64_t f = 0; f <= 3; ++f) {
-      std::vector<Word> faults;
-      for (std::uint64_t v : rng.sample_distinct(ctx.words().size(), f)) {
-        faults.push_back(v);
-      }
-      const FfcResult via_ctx = solve_ffc(ctx, faults);
-      const FfcResult direct = standalone.solve(faults);
-      EXPECT_EQ(via_ctx.cycle, direct.cycle);
-      EXPECT_EQ(via_ctx.root, direct.root);
-      EXPECT_EQ(via_ctx.bstar_size, direct.bstar_size);
-      EXPECT_EQ(via_ctx.tree_edges, direct.tree_edges);
-      EXPECT_EQ(via_ctx.modified_edges, direct.modified_edges);
-    }
-  }
-}
-
-TEST(InstanceContextTest, EdgeSolvesMatchTheFromScratchConstructions) {
-  Rng rng(99);
-  for (const Shape s : kShapes) {
-    const InstanceContext ctx(s.d, s.n);
-    const WordSpace& ws = ctx.words();
-    for (std::uint64_t f = 0; f <= max_tolerable_edge_faults(s.d) + 2; ++f) {
-      const std::vector<Word> faults = random_edge_faults(rng, ws, f);
-      EXPECT_EQ(solve_edge_scan(ctx, faults),
-                fault_free_hc_family_scan(s.d, s.n, faults));
-      EXPECT_EQ(solve_edge_phi(ctx, faults),
-                fault_free_hc_phi_construction(s.d, s.n, faults));
-      EXPECT_EQ(solve_edge_auto(ctx, faults),
-                fault_free_hamiltonian_cycle(s.d, s.n, faults));
-    }
-  }
-}
-
-TEST(InstanceContextTest, SolveButterflyMatchesTheStandaloneConstruction) {
-  for (const Shape s : {Shape{2, 5}, Shape{3, 4}, Shape{5, 4}}) {
-    const InstanceContext ctx(s.d, s.n);
-    ASSERT_TRUE(ctx.supports_butterfly());
-    const ButterflyDigraph& bf = ctx.butterfly();
-    // A couple of genuine butterfly edges as faults.
-    std::vector<std::pair<NodeId, NodeId>> faults;
-    bf.for_each_successor(0, [&](NodeId v) {
-      if (faults.empty()) faults.emplace_back(0, v);
-    });
-    std::vector<Word> pulled_back;
-    for (const auto& [u, v] : faults) {
-      pulled_back.push_back(butterfly::pull_back_edge(bf, u, v));
-    }
-    const auto via_ctx = solve_butterfly(ctx, pulled_back);
-    const auto direct = butterfly_fault_free_hc(bf, faults);
-    ASSERT_EQ(via_ctx.has_value(), direct.has_value());
-    if (via_ctx.has_value()) {
-      EXPECT_EQ(*via_ctx, *direct);
     }
   }
 }

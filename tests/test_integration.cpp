@@ -28,11 +28,11 @@ TEST(Lemma22, ProjectionOfHIsEulerianInD) {
   // every edge of the modified tree D exactly once (Lemma 2.2's circuit J).
   Rng rng(0x1e22);
   for (auto [d, n] : {std::pair<Digit, unsigned>{3, 4}, {4, 3}, {5, 3}, {2, 8}}) {
-    const core::FfcSolver solver{DeBruijnDigraph(d, n)};
-    const WordSpace& ws = solver.graph().words();
+    const auto ctx = core::InstanceContext::make(d, n);
+    const WordSpace& ws = ctx->words();
     for (unsigned trial = 0; trial < 10; ++trial) {
       const auto faults = rng.sample_distinct(ws.size(), 1 + rng.below(4));
-      const auto r = solver.solve(faults);
+      const auto r = core::solve_ffc(*ctx, faults);
       std::multiset<std::pair<Word, Word>> used;
       for (std::size_t i = 0; i < r.cycle.length(); ++i) {
         const Word u = r.cycle.nodes[i];
@@ -52,11 +52,11 @@ TEST(Lemma21, IncomingOutgoingAlternation) {
   // Every node of B* lies on exactly one necklace path from an incoming to
   // the next outgoing node: along H, consecutive same-necklace nodes follow
   // the rotation, and each necklace is entered as often as it is exited.
-  const core::FfcSolver solver{DeBruijnDigraph(3, 4)};
-  const WordSpace& ws = solver.graph().words();
+  const auto ctx = core::InstanceContext::make(3, 4);
+  const WordSpace& ws = ctx->words();
   Rng rng(0x1e21);
   const auto faults = rng.sample_distinct(ws.size(), 3);
-  const auto r = solver.solve(faults);
+  const auto r = core::solve_ffc(*ctx, faults);
   std::map<Word, int> entries, exits;
   for (std::size_t i = 0; i < r.cycle.length(); ++i) {
     const Word u = r.cycle.nodes[i];
@@ -77,15 +77,15 @@ TEST(Lemma21, IncomingOutgoingAlternation) {
 TEST(TreeCensus, TreeEdgesCountNecklacesMinusOne) {
   // T spans the necklaces of B*: |T| = #necklaces - 1; and the necklace
   // count of the fault-free graph matches the Chapter 4 formula.
-  const core::FfcSolver solver{DeBruijnDigraph(4, 4)};
-  const WordSpace& ws = solver.graph().words();
-  const auto nofault = solver.solve({});
+  const auto ctx = core::InstanceContext::make(4, 4);
+  const WordSpace& ws = ctx->words();
+  const auto nofault = core::solve_ffc(*ctx, {});
   EXPECT_EQ(nofault.necklace_count, necklace::necklaces_total(4, 4));
   EXPECT_EQ(nofault.tree_edges.size(), nofault.necklace_count - 1);
   Rng rng(0x7ee);
   for (unsigned trial = 0; trial < 10; ++trial) {
     const auto faults = rng.sample_distinct(ws.size(), 1 + rng.below(5));
-    const auto r = solver.solve(faults);
+    const auto r = core::solve_ffc(*ctx, faults);
     EXPECT_EQ(r.tree_edges.size(), r.necklace_count - 1);
   }
 }
@@ -95,9 +95,9 @@ TEST(Generators, FfcAndLfsrFamiliesAreBothDeBruijnSequences) {
   // necklace stitch and the GF(q) maximal-cycle insertion - both produce
   // valid De Bruijn sequences for the same graphs.
   for (auto [d, n] : {std::pair<Digit, unsigned>{2, 6}, {3, 4}, {4, 3}, {5, 2}}) {
-    const WordSpace ws(d, n);
-    const core::FfcSolver solver{DeBruijnDigraph(d, n)};
-    EXPECT_TRUE(is_hamiltonian(ws, solver.solve({}).cycle));
+    const auto ctx = core::InstanceContext::make(d, n);
+    const WordSpace& ws = ctx->words();
+    EXPECT_TRUE(is_hamiltonian(ws, core::solve_ffc(*ctx, {}).cycle));
     const gf::Field field(d);
     const core::MaximalCycleFamily family(field, n);
     EXPECT_TRUE(is_hamiltonian(ws, family.hamiltonian_cycle_at(0, 1)));
@@ -142,11 +142,11 @@ TEST(Distributed, RoundBudgetHoldsUnderFaults) {
 TEST(CrossNetwork, GuaranteeComparisonAtMatchedSizes) {
   // The Chapter 2 comparison at another matched size: 256 nodes = B(4,4) vs
   // Q_8. Constructive check of both guarantees with two faults.
-  const core::FfcSolver debruijn{DeBruijnDigraph(4, 4)};
+  const auto debruijn = core::InstanceContext::make(4, 4);
   Rng rng(0xc0);
   for (unsigned trial = 0; trial < 5; ++trial) {
     const auto dbf = rng.sample_distinct(256, 2);
-    EXPECT_GE(debruijn.solve(dbf).cycle.length(), 256u - 4 * 2);
+    EXPECT_GE(core::solve_ffc(*debruijn, dbf).cycle.length(), 256u - 4 * 2);
     const auto qf = rng.sample_distinct(256, 2);
     EXPECT_GE(hypercube::fault_free_cycle(8, qf).size(), 256u - 2 * 2);
   }
@@ -157,9 +157,9 @@ TEST(NodePlusEdgeFaults, RingSurvivesMixedFailures) {
   // a disjoint ring (Chapter 3), then a node failure on that ring is
   // handled by re-embedding with the FFC (Chapter 2). The library supports
   // the full sequence.
-  const std::uint64_t d = 4;
   const unsigned n = 3;
-  const WordSpace ws(4, 3);
+  const auto ctx = core::InstanceContext::make(4, n);
+  const WordSpace& ws = ctx->words();
   Rng rng(0xabc);
   // Two dead links.
   std::vector<Word> dead_links;
@@ -168,13 +168,12 @@ TEST(NodePlusEdgeFaults, RingSurvivesMixedFailures) {
     const auto [u, v] = ws.edge_endpoints(e);
     if (u != v) dead_links.push_back(e);
   }
-  const auto ring = core::fault_free_hamiltonian_cycle(d, n, dead_links);
+  const auto ring = core::solve_edge_auto(*ctx, dead_links);
   ASSERT_TRUE(ring.has_value());
   EXPECT_TRUE(avoids_edges(ws, *ring, dead_links));
   // Now a processor on that ring dies; fall back to the FFC ring.
   const Word dead_node = to_node_cycle(ws, *ring).nodes[7];
-  const core::FfcSolver solver{DeBruijnDigraph(4, 3)};
-  const auto recovered = solver.solve(std::vector<Word>{dead_node});
+  const auto recovered = core::solve_ffc(*ctx, std::vector<Word>{dead_node});
   EXPECT_GE(recovered.cycle.length(), ws.size() - n);
   EXPECT_TRUE(is_cycle(ws, recovered.cycle));
 }

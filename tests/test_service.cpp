@@ -198,8 +198,8 @@ TEST(EmbedEngineTest, NodeFaultsDispatchToFfc) {
   EXPECT_EQ(resp.result->strategy_used, Strategy::kFfc);
   // Example 2.1: B* has 21 nodes and the ring is exactly the FFC cycle.
   EXPECT_EQ(resp.result->ring_length, 21u);
-  const core::FfcSolver solver{DeBruijnDigraph(3, 3)};
-  EXPECT_EQ(resp.result->ring, solver.solve(faults).cycle);
+  const auto ctx = core::InstanceContext::make(3, 3);
+  EXPECT_EQ(resp.result->ring, core::solve_ffc(*ctx, faults).cycle);
   EXPECT_TRUE(is_cycle(ws, resp.result->ring));
   // Bounds: f = 2 > d - 2 = 1, so the guarantee degrades to [0, 25].
   EXPECT_EQ(resp.result->lower_bound, 0u);

@@ -13,6 +13,7 @@
 #include "core/instance_context.hpp"
 #include "core/mixed_fault.hpp"
 #include "core/solve_scratch.hpp"
+#include "ffc_reference.hpp"
 #include "service/cache.hpp"
 #include "service/context_cache.hpp"
 #include "service/types.hpp"
@@ -23,9 +24,10 @@
 //
 // Part 1 sweeps the seeded scenario corpus (every strategy, so every fuzz
 // regime from fault-free through mixed-correlated) and holds the
-// scratch-arena solve bit-identical to the legacy allocation path, with ONE
-// arena reused dirty across all scenarios and instance shapes — exactly the
-// steady state a long-lived session or engine worker sees. Any stale-state
+// scratch-arena solve bit-identical to the per-call-allocation reference
+// solve of bench/ffc_reference.hpp, with ONE arena reused dirty across all
+// scenarios and instance shapes — exactly the steady state a long-lived
+// session or engine worker sees. Any stale-state
 // leak between solves (an unreset epoch map, a mask sized for the previous
 // instance) shows up as a field-level diff with the scenario's reproduction
 // tuple attached.
@@ -42,7 +44,6 @@ namespace dbr {
 namespace {
 
 using core::FfcResult;
-using core::FfcSolver;
 using core::InstanceContext;
 using core::MixedResult;
 using core::SolveScratch;
@@ -128,9 +129,8 @@ TEST(SolveArena, FfcBitIdentityAcrossScenarioCorpus) {
     for (const Scenario& sc : make_sweep(base_seed(), strategy, sweep_size())) {
       if (sc.request.fault_kind != FaultKind::kNode) continue;
       const InstanceContext& ctx = pool.get(sc.request.base, sc.request.n);
-      const FfcSolver solver(ctx);
-      const auto reference =
-          try_solve([&] { return solver.solve(sc.request.faults); });
+      const auto reference = try_solve(
+          [&] { return ffc_reference::solve(ctx, sc.request.faults); });
       const auto arena = try_solve(
           [&] { return core::solve_ffc(ctx, sc.request.faults, scratch); });
       ASSERT_EQ(reference.has_value(), arena.has_value())
